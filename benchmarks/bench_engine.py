@@ -2,11 +2,12 @@
 
 Measures the refactor's acceptance criterion — batched exact inference of
 a 16-image batch through ``Engine.predict`` against 16 sequential
-single-image calls of the *pre-engine* ``SCNetwork`` (the frozen copy in
-:mod:`repro.engine.reference`) — plus per-backend latency for the
-pluggable backends.  Setup (training, plan compilation, weight-stream
-generation) is excluded from both sides: the comparison isolates the
-per-request execution loop, which is what batching restructures.
+single-image calls of the frozen pre-engine simulator
+(:class:`repro.engine.reference.ReferenceSCNetwork`) — plus per-backend
+latency for the pluggable backends.  Setup (training, plan compilation,
+weight-stream generation) is excluded from both sides: the comparison
+isolates the per-request execution loop, which is what batching
+restructures.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_engine.py``) or
 via ``benchmarks/run_all.py``, which records the result in

@@ -267,15 +267,16 @@ def test_kernel_feb_forward(benchmark, rng):
 def test_kernel_exact_conv_layer(benchmark, trained_max):
     """One bit-exact image through conv1+pool+Btanh (Layer 0)."""
     from repro.core.config import NetworkConfig, PoolKind
-    from repro.core.network import SCNetwork
+    from repro.engine.engine import Engine
     cfg = NetworkConfig.from_kinds(PoolKind.MAX, 256, ("APC", "APC", "APC"))
-    sc = SCNetwork(trained_max.model, cfg, seed=0)
+    engine = Engine(trained_max.model, cfg, backend="exact", seed=0)
     img = trained_max.bipolar_test_images()[0].reshape(1, -1)
-    x = sc.factory.packed(img, 256)
-    backend = sc.engine.backend
+    backend = engine.backend
+    x = backend.factory.packed(img, 256)
 
     out = benchmark.pedantic(
-        lambda: backend._conv_layer(0, sc._plans[0], x, selects=[{}]),
+        lambda: backend._conv_layer(0, engine.plan.layers[0], x,
+                                    selects=[{}]),
         rounds=3, iterations=1,
     )
     assert out.shape[1] == 2880

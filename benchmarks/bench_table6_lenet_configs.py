@@ -3,9 +3,9 @@
 For every configuration this bench reports:
 
 * **inaccuracy** under the paper's evaluation methodology (measured block
-  inaccuracy injected as zero-mean noise — ``PaperNoiseModel``) and under
-  the calibrated transfer-curve surrogate that also carries systematic
-  block distortion (``FastSCModel``);
+  inaccuracy injected as zero-mean noise — the ``noise`` engine backend)
+  and under the calibrated transfer-curve surrogate that also carries
+  systematic block distortion (the ``surrogate`` backend);
 * **area / power / delay / energy** from the hardware cost model
   (calibration anchored at configuration No.11, see DESIGN.md).
 
@@ -13,16 +13,15 @@ Expected shapes: APC-heavier configurations are more accurate and more
 expensive; energy scales with the stream length; max pooling beats
 average pooling on accuracy at matched configurations.
 
-Set ``REPRO_TABLE6_EXACT=1`` to additionally run the bit-exact simulator
-on a small sample for two anchor configurations.
+The ``exact`` backend spot-checks configuration No.4 on 12 images; set
+``REPRO_TABLE6_EXACT=1`` to use 60.
 """
 
 import os
 
 from repro.analysis.tables import format_table
 from repro.core.config import TABLE6_CONFIGS, PoolKind
-from repro.core.fast_model import FastSCModel, PaperNoiseModel
-from repro.core.network import SCNetwork
+from repro.engine.engine import Engine
 from repro.hw.network_cost import lenet_network_cost
 
 from bench_utils import scaled
@@ -35,10 +34,12 @@ def _evaluate_all(trained_max, trained_avg, n_images):
                    else trained_avg)
         x = trained.bipolar_test_images()[:n_images]
         y = trained.y_test[:n_images]
-        noise_err = PaperNoiseModel(trained.model, config,
-                                    seed=11).error_rate(x, y)
-        surr_err = FastSCModel(trained.model, config,
-                               seed=11).error_rate(x, y)
+        # Sampled-noise draws depend on the chunking: evaluate in
+        # 256-image chunks, as HolisticOptimizer.evaluate does.
+        noise_err = Engine(trained.model, config, backend="noise",
+                           seed=11).error_rate(x, y, batch_size=256)
+        surr_err = Engine(trained.model, config, backend="surrogate",
+                          seed=11).error_rate(x, y, batch_size=256)
         cost = lenet_network_cost(config)
         rows.append((config, paper, noise_err, surr_err, cost))
     return rows
@@ -92,7 +93,7 @@ def test_table6_exact_simulation_anchor(benchmark, trained_max,
     """Bit-exact spot check of one APC configuration (No.4, L=512)."""
     config, paper = TABLE6_CONFIGS[3]
     n_images = 60 if os.environ.get("REPRO_TABLE6_EXACT") else 12
-    sc = SCNetwork(trained_max.model, config, seed=11)
+    sc = Engine(trained_max.model, config, backend="exact", seed=11)
     x = trained_max.bipolar_test_images()
     err = benchmark.pedantic(
         lambda: sc.error_rate(x, trained_max.y_test, max_images=n_images),

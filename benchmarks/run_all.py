@@ -129,8 +129,8 @@ def run_engine_benchmarks(output: Path = ENGINE_OUTPUT) -> dict:
         sys.path.pop(0)
     payload = {
         "unit": "seconds / images-per-second per entry",
-        "note": "batched Engine.predict vs sequential pre-engine "
-                "SCNetwork calls (setup excluded on both sides); "
+        "note": "batched Engine.predict vs sequential "
+                "ReferenceSCNetwork calls (setup excluded on both sides); "
                 "bit_identical asserts batched predictions equal the "
                 "legacy simulator's",
         **results,

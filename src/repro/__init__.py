@@ -17,9 +17,14 @@ The package is organised bottom-up, mirroring the paper:
 
 ``repro.core``
     The paper's primary contribution: the four jointly-optimized feature
-    extraction blocks, state-number equations (1)-(3), network-level SC
-    inference (exact bit-level and calibrated fast model) and the holistic
-    design-space optimizer of Section 6.3.
+    extraction blocks, state-number equations (1)-(3), the network
+    configurations and the holistic design-space optimizer of Section 6.3.
+
+``repro.engine``
+    Network-level SC inference: one :class:`~repro.engine.engine.Engine`
+    runs a compiled layer plan on a named backend (``exact`` bit-level
+    simulation, calibrated ``surrogate``, the paper's ``noise`` method or
+    the ``float`` baseline).
 
 ``repro.nn``
     A from-scratch numpy deep-learning substrate used to train the LeNet-5
@@ -61,8 +66,7 @@ from repro.core.feature_extraction import (
     ApcMaxBtanh,
     make_feb,
 )
-from repro.core.network import SCNetwork
-from repro.core.fast_model import FastSCModel
+from repro.engine.engine import Engine
 
 __version__ = "1.0.0"
 
@@ -83,7 +87,6 @@ __all__ = [
     "ApcAvgBtanh",
     "ApcMaxBtanh",
     "make_feb",
-    "SCNetwork",
-    "FastSCModel",
+    "Engine",
     "__version__",
 ]

@@ -74,11 +74,11 @@ class HolisticOptimizer:
         filter demonstrate that itself.
     evaluator:
         ``"noise"`` (default) — the paper's methodology: measured block
-        inaccuracy injected as zero-mean noise
-        (:class:`repro.core.fast_model.PaperNoiseModel`);
+        inaccuracy injected as zero-mean noise (the engine's ``noise``
+        backend);
         ``"surrogate"`` — the calibrated transfer-curve surrogate that
-        also carries each block's systematic distortion
-        (:class:`repro.core.fast_model.FastSCModel`).
+        also carries each block's systematic distortion (the engine's
+        ``surrogate`` backend).
     """
 
     def __init__(self, trained, threshold_pct: float = ACCURACY_THRESHOLD_PCT,
@@ -116,9 +116,8 @@ class HolisticOptimizer:
 
     #: engine backend per evaluator methodology.
     _BACKENDS = {"noise": "noise", "surrogate": "surrogate"}
-    #: facade-compatible backend options per evaluator (the legacy
-    #: classes' defaults: PaperNoiseModel measured 96 samples per sigma,
-    #: FastSCModel 240 per curve).
+    #: backend options per evaluator: 96 bit-level samples per noise
+    #: sigma, 240 per surrogate transfer curve.
     _BACKEND_OPTS = {"noise": {"samples": 96}, "surrogate": {"samples": 240}}
 
     def evaluate(self, config: NetworkConfig, plan=None) -> DesignPoint:
@@ -136,8 +135,8 @@ class HolisticOptimizer:
                         backend=self._BACKENDS[self.evaluator],
                         seed=self.seed, **source,
                         **self._BACKEND_OPTS[self.evaluator])
-        # 256-image chunks: the legacy evaluator classes' batching, kept
-        # so sampled-noise draws reproduce pre-engine results exactly.
+        # Sampled-noise draws depend on the chunking: 256-image chunks
+        # keep them identical to the Table 6 bench and the DSE runner.
         error = engine.error_rate(x, y, batch_size=256)
         graph = (plan.graph if plan is not None
                  else build_graph(self.trained.model, config))

@@ -93,9 +93,10 @@ __all__ = ["EVALUATOR_SPECS", "EvalTask", "DSERecord", "DSEResult",
            "ParallelRunner"]
 
 #: Full-fidelity evaluator -> (engine backend, backend options).  The
-#: ``noise``/``surrogate`` rows replicate the legacy optimizer's exactly
-#: (sample counts included) — that equality is what makes the facade
-#: bit-identical to the pre-DSE loop and is pinned by a test.  ``exact``
+#: ``noise``/``surrogate`` rows replicate ``HolisticOptimizer``'s exactly
+#: (sample counts included) — that equality is what makes
+#: ``HolisticOptimizer.run`` bit-identical to ``run_sequential`` and is
+#: pinned by a test.  ``exact``
 #: runs the bit-level simulator itself: far costlier, which is where
 #: screening pays off most.
 EVALUATOR_SPECS = {
@@ -104,8 +105,8 @@ EVALUATOR_SPECS = {
     "exact": ("exact", {}),
 }
 
-#: Evaluation batch size — the legacy evaluator classes' 256-image
-#: chunking, kept so sampled-noise draws reproduce pre-engine results.
+#: Evaluation batch size.  Sampled-noise draws depend on the chunking;
+#: 256 matches ``HolisticOptimizer.evaluate``.
 EVAL_BATCH = 256
 
 

@@ -19,9 +19,6 @@ Gaussian sigma per block — the paper's own network-evaluation
 methodology (inaccuracy injected as zero-mean noise), consumed by the
 ``noise`` backend.  Both artifact families are disk-cached under
 :func:`repro.data.cache.cache_dir`.
-
-This module was lifted out of ``repro.core.fast_model`` when the engine
-subsystem was introduced; the legacy module re-exports the public names.
 """
 
 from __future__ import annotations

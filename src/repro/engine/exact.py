@@ -1,7 +1,7 @@
 """Exact bit-level backend: batched SC simulation of the compiled plan.
 
-Bit-for-bit the same computation as the pre-engine ``SCNetwork`` (the
-frozen copy in :mod:`repro.engine.reference` is the regression oracle),
+Bit-for-bit the same computation as the frozen single-image simulator
+:class:`repro.engine.reference.ReferenceSCNetwork` (the regression oracle),
 re-organized around a batch axis so one call simulates many images:
 
 * all images of a batch are encoded with **one** SNG call when the SNG

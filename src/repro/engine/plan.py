@@ -183,7 +183,7 @@ class LayerPlan:
                  deficit: float, applied_factor: float, raw_cache: dict):
         self._init_structure(node, n_states, bits, deficit, applied_factor)
         #: exact-backend storage: bias folded as one extra column, then
-        #: quantized — matches the pre-engine ``SCNetwork`` bit for bit.
+        #: quantized — matches ``ReferenceSCNetwork`` bit for bit.
         self.weights = _quantize(
             np.concatenate([scaled_w, scaled_b[:, None]], axis=1), bits
         )
@@ -239,11 +239,6 @@ class LayerPlan:
         for field in cls.ARRAY_FIELDS:
             setattr(layer, field, arrays[field])
         return layer
-
-    # legacy alias kept for call sites that predate the engine
-    @property
-    def has_pool(self) -> bool:
-        return self.pooled
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LayerPlan({self.name}, {self.kind.value}, "

@@ -1,6 +1,6 @@
 """Frozen pre-engine bit-level simulator: the regression oracle.
 
-This is the single-image ``SCNetwork`` implementation exactly as it stood
+This is the single-image bit-level simulator exactly as it stood
 before the layer-graph engine refactor (one stream-factory call per
 image, one APC kernel invocation per output channel).  It is kept — and
 must not be "optimized" — so that:
@@ -11,8 +11,8 @@ must not be "optimized" — so that:
 * ``benchmarks/bench_engine.py`` can measure the batched engine against
   genuine sequential legacy calls.
 
-Production code should use :class:`repro.engine.engine.Engine` (or the
-:class:`repro.core.network.SCNetwork` facade).
+Production code should use :class:`repro.engine.engine.Engine` with the
+``exact`` backend.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """2-D convolution via im2col.
 
-Tensors are NCHW.  ``im2col``/``col2im`` are exposed because the SC
-network simulator (:mod:`repro.core.network`) reuses them to enumerate
-receptive fields when wiring inner-product blocks.
+Tensors are NCHW.  ``im2col``/``im2col_indices`` are exposed because the
+SC engine (:mod:`repro.engine.plan`, :mod:`repro.engine.surrogate`)
+reuses them to enumerate receptive fields when wiring inner-product
+blocks.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
-"""Backend registry, float/surrogate/noise equivalence with legacy APIs."""
+"""Backend registry and the float / surrogate / noise backends."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import NetworkConfig, PoolKind
-from repro.core.fast_model import FastSCModel, PaperNoiseModel
 from repro.data.synthetic_mnist import to_bipolar
 from repro.engine import BACKENDS, Engine, get_backend, register_backend
+from repro.nn.dense import Dense
+from repro.nn.module import Sequential
 
 
 @pytest.fixture(scope="module")
@@ -80,22 +81,28 @@ class TestFloatBackend:
 
 
 class TestSurrogateBackend:
-    def test_facade_equivalence(self, tiny_trained_lenet, sc_config,
-                                images):
-        """FastSCModel is now a facade: direct engine use must agree."""
-        facade = FastSCModel(tiny_trained_lenet, sc_config, seed=4,
-                             samples=120, noisy=True)
-        direct = Engine(tiny_trained_lenet, sc_config, backend="surrogate",
-                        seed=4, samples=120, noisy=True)
-        np.testing.assert_allclose(facade.forward(images),
-                                   direct.forward(images))
+    def test_error_close_to_exact_sim(self, tiny_trained_lenet,
+                                      small_dataset, sc_config):
+        """The surrogate must track the bit-exact simulator."""
+        _, _, x_test, y_test = small_dataset
+        x = to_bipolar(x_test)
+        exact = Engine(tiny_trained_lenet, sc_config, backend="exact",
+                       seed=0)
+        exact_err = exact.error_rate(x, y_test, max_images=24)
+        fast = Engine(tiny_trained_lenet, sc_config, backend="surrogate",
+                      seed=0, samples=160)
+        fast_err = fast.error_rate(x[:120], y_test[:120], batch_size=256)
+        assert abs(fast_err - exact_err) < 25.0
 
     def test_noiseless_deterministic(self, tiny_trained_lenet, sc_config,
                                      images):
+        """With noise disabled, repeated evaluations are identical (the
+        measured transfer curve is deterministic for one seed)."""
         a = Engine(tiny_trained_lenet, sc_config, backend="surrogate",
                    seed=0, samples=120, noisy=False)
         b = Engine(tiny_trained_lenet, sc_config, backend="surrogate",
                    seed=0, samples=120, noisy=False)
+        np.testing.assert_allclose(a.forward(images), a.forward(images))
         np.testing.assert_allclose(a.forward(images), b.forward(images))
 
     def test_curves_cached_on_plan(self, tiny_trained_lenet, sc_config):
@@ -109,26 +116,47 @@ class TestSurrogateBackend:
 
 
 class TestNoiseBackend:
-    def test_facade_equivalence(self, tiny_trained_lenet, sc_config,
-                                images):
-        facade = PaperNoiseModel(tiny_trained_lenet, sc_config, seed=4,
-                                 samples=48)
-        direct = Engine(tiny_trained_lenet, sc_config, backend="noise",
-                        seed=4, samples=48)
-        np.testing.assert_allclose(facade.forward(images),
-                                   direct.forward(images))
-
     def test_sigmas_exposed(self, tiny_trained_lenet, sc_config):
         engine = Engine(tiny_trained_lenet, sc_config, backend="noise",
                         seed=0, samples=48)
         assert len(engine.backend.stage_sigmas) == 3
         assert all(s >= 0 for s in engine.backend.stage_sigmas)
 
+    def test_longer_streams_fewer_errors(self, tiny_trained_lenet,
+                                         small_dataset):
+        """Table 6's central trend under the paper's methodology."""
+        _, _, x_test, y_test = small_dataset
+        x = to_bipolar(x_test)
+        errs = {}
+        for L in (64, 512):
+            cfg = NetworkConfig.from_kinds(PoolKind.MAX, L,
+                                           ("APC", "APC", "APC"))
+            engine = Engine(tiny_trained_lenet, cfg, backend="noise",
+                            seed=0, samples=48)
+            errs[L] = engine.error_rate(x, y_test, batch_size=256)
+        assert errs[512] <= errs[64] + 2.0
+
+    def test_mux_noisier_than_apc(self, tiny_trained_lenet):
+        """Figure 14 through the noise lens: MUX sigma > APC sigma."""
+        sigmas = {}
+        for first in ("MUX", "APC"):
+            cfg = NetworkConfig.from_kinds(PoolKind.MAX, 128,
+                                           (first, "APC", "APC"))
+            sigmas[first] = Engine(tiny_trained_lenet, cfg,
+                                   backend="noise", seed=0,
+                                   samples=48).backend.stage_sigmas
+        assert sigmas["MUX"][0] > sigmas["APC"][0]
+
 
 class TestEngineApi:
     def test_needs_model_or_plan(self, sc_config):
         with pytest.raises(ValueError, match="plan"):
             Engine(config=sc_config)
+
+    def test_rejects_model_config_mismatch(self, sc_config):
+        with pytest.raises(ValueError, match="layer kinds"):
+            Engine(Sequential([Dense(784, 2)]), sc_config,
+                   backend="surrogate")
 
     def test_plan_shared_across_backends(self, tiny_trained_lenet,
                                          sc_config, images):

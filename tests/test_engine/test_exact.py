@@ -2,16 +2,18 @@
 
 The acceptance bar for the engine refactor: on fixed seeds, the batched
 ``exact`` backend must produce *bit-identical* logits to the pre-engine
-``SCNetwork`` (frozen verbatim in :mod:`repro.engine.reference`), for
-every inner-product-kind / pooling family and with quantized storage.
+simulator (frozen verbatim as
+:class:`repro.engine.reference.ReferenceSCNetwork`), for every
+inner-product-kind / pooling family and with quantized storage.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.config import NetworkConfig, PoolKind
-from repro.core.network import SCNetwork
 from repro.data.synthetic_mnist import to_bipolar
+from repro.nn.dense import Dense
+from repro.nn.module import Sequential
 from repro.engine import Engine
 from repro.engine.reference import ReferenceSCNetwork
 
@@ -27,31 +29,25 @@ def _logits(net, imgs):
 
 
 class TestBitIdentityVsLegacy:
-    @pytest.mark.parametrize("pooling,kinds,length,bits", [
-        (PoolKind.MAX, ("APC", "APC", "APC"), 128, None),
-        (PoolKind.MAX, ("MUX", "APC", "APC"), 64, 7),
-        (PoolKind.MAX, ("APC", "MUX", "APC"), 64, None),
-        (PoolKind.AVG, ("MUX", "MUX", "MUX"), 64, None),
-        (PoolKind.AVG, ("APC", "APC", "APC"), 64, (7, 7, 6)),
-        (PoolKind.AVG, ("APC", "MUX", "APC"), 128, 6),
+    @pytest.mark.parametrize("pooling,kinds,length,bits,seed", [
+        (PoolKind.MAX, ("APC", "APC", "APC"), 128, None, 3),
+        (PoolKind.MAX, ("MUX", "APC", "APC"), 64, 7, 3),
+        (PoolKind.MAX, ("MUX", "APC", "APC"), 64, None, 1),
+        (PoolKind.MAX, ("APC", "MUX", "APC"), 64, None, 3),
+        (PoolKind.AVG, ("MUX", "MUX", "MUX"), 64, None, 3),
+        (PoolKind.AVG, ("APC", "APC", "APC"), 64, (7, 7, 6), 3),
+        (PoolKind.AVG, ("APC", "MUX", "APC"), 128, 6, 3),
     ])
     def test_batched_engine_matches_sequential_legacy(
-            self, tiny_trained_lenet, images, pooling, kinds, length, bits):
+            self, tiny_trained_lenet, images, pooling, kinds, length, bits,
+            seed):
         cfg = NetworkConfig.from_kinds(pooling, length, kinds)
-        legacy = ReferenceSCNetwork(tiny_trained_lenet, cfg, seed=3,
+        legacy = ReferenceSCNetwork(tiny_trained_lenet, cfg, seed=seed,
                                     weight_bits=bits)
-        engine = Engine(tiny_trained_lenet, cfg, backend="exact", seed=3,
+        engine = Engine(tiny_trained_lenet, cfg, backend="exact", seed=seed,
                         weight_bits=bits)
         np.testing.assert_array_equal(_logits(legacy, images),
                                       engine.forward(images))
-
-    def test_facade_matches_legacy(self, tiny_trained_lenet, images):
-        cfg = NetworkConfig.from_kinds(PoolKind.MAX, 64,
-                                       ("MUX", "APC", "APC"))
-        legacy = ReferenceSCNetwork(tiny_trained_lenet, cfg, seed=1)
-        facade = SCNetwork(tiny_trained_lenet, cfg, seed=1)
-        np.testing.assert_array_equal(legacy.predict(images),
-                                      facade.predict(images))
 
 
 class TestBatchingInvariance:
@@ -143,6 +139,62 @@ class TestExactValidation:
     def test_single_2d_image_accepted(self, engine, images):
         out = engine.forward(images[0].reshape(28, 28))
         assert out.shape == (1, 10)
+
+
+class TestExactConstruction:
+    def test_rejects_model_config_mismatch(self):
+        model = Sequential([Dense(784, 2)])
+        cfg = NetworkConfig.from_kinds(PoolKind.MAX, 64,
+                                       ("APC", "APC", "APC"))
+        with pytest.raises(ValueError, match="layer kinds"):
+            Engine(model, cfg, backend="exact")
+
+    def test_plans_built(self, tiny_trained_lenet):
+        cfg = NetworkConfig.from_kinds(PoolKind.MAX, 64,
+                                       ("MUX", "APC", "APC"))
+        plan = Engine(tiny_trained_lenet, cfg, backend="exact", seed=0).plan
+        assert len(plan.gain_deficits) == 4
+        names = [lp.name for lp in plan.layers]
+        assert names == ["Layer0", "Layer1", "Layer2", "Output"]
+        assert plan.layers[0].n_inputs == 26   # 25 + bias
+        assert plan.layers[2].n_inputs == 801
+
+    def test_weight_bits_quantization_applies(self, tiny_trained_lenet):
+        cfg = NetworkConfig.from_kinds(PoolKind.MAX, 64,
+                                       ("APC", "APC", "APC"))
+        engine = Engine(tiny_trained_lenet, cfg, backend="exact", seed=0,
+                        weight_bits=4)
+        # 4-bit storage: every weight is a multiple of 2/16 minus 1.
+        w = engine.plan.layers[0].weights
+        codes = (w + 1.0) / 2.0 * 16
+        np.testing.assert_allclose(codes, np.round(codes), atol=1e-9)
+
+
+class TestExactInference:
+    def test_forward_shape(self, tiny_trained_lenet, images):
+        cfg = NetworkConfig.from_kinds(PoolKind.MAX, 256,
+                                       ("APC", "APC", "APC"))
+        engine = Engine(tiny_trained_lenet, cfg, backend="exact", seed=0)
+        assert engine.forward(images[:1]).shape == (1, 10)
+
+    def test_deterministic(self, tiny_trained_lenet, images):
+        cfg = NetworkConfig.from_kinds(PoolKind.MAX, 128,
+                                       ("APC", "APC", "APC"))
+        a = Engine(tiny_trained_lenet, cfg, backend="exact",
+                   seed=7).forward(images[:1])
+        b = Engine(tiny_trained_lenet, cfg, backend="exact",
+                   seed=7).forward(images[:1])
+        np.testing.assert_array_equal(a, b)
+
+    def test_predictions_beat_chance(self, cached_lenet):
+        """At L=512 the all-APC network tracks the software model
+        closely (the paper's central claim for APC configurations)."""
+        cfg = NetworkConfig.from_kinds(PoolKind.MAX, 512,
+                                       ("APC", "APC", "APC"))
+        engine = Engine(cached_lenet.model, cfg, backend="exact", seed=0)
+        x = cached_lenet.bipolar_test_images()
+        err = engine.error_rate(x, cached_lenet.y_test, max_images=16)
+        assert err < 40.0
 
 
 class TestForwardIndependent:

@@ -1,4 +1,5 @@
-"""Tests for plan compilation: determinism, reuse, quantization."""
+"""Tests for plan compilation: gain compensation, pooling windows,
+determinism, reuse, quantization."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from repro.engine.graph import build_graph
 from repro.engine.plan import (
     compile_plan,
     conv_patch_index,
+    layer_gain_compensation,
     normalize_weight_bits,
     pool_window_indices,
 )
@@ -15,6 +17,72 @@ from repro.engine.plan import (
 
 def _cfg(kinds, length=128, pooling=PoolKind.MAX):
     return NetworkConfig.from_kinds(pooling, length, kinds)
+
+
+class TestPoolWindowIndices:
+    def test_two_by_two(self):
+        win = pool_window_indices(1, 1)
+        np.testing.assert_array_equal(win, [[0, 1, 2, 3]])
+
+    def test_larger_grid(self):
+        win = pool_window_indices(2, 2)
+        # 4×4 grid, row-major: window (0,0) = positions 0,1,4,5
+        np.testing.assert_array_equal(win[0], [0, 1, 4, 5])
+        np.testing.assert_array_equal(win[3], [10, 11, 14, 15])
+
+    def test_covers_all_positions(self):
+        win = pool_window_indices(6, 6)
+        assert sorted(win.reshape(-1).tolist()) == list(range(144))
+
+
+class TestGainCompensation:
+    def test_apc_layer_untouched_when_in_range(self, rng):
+        w = rng.uniform(-0.3, 0.3, (4, 8))
+        b = rng.uniform(-0.1, 0.1, 4)
+        w2, b2, deficit, factor = layer_gain_compensation(
+            w, b, FEBKind.APC, 9, 18
+        )
+        np.testing.assert_allclose(w2, w)
+        assert deficit == pytest.approx(1.0)
+        assert factor == pytest.approx(1.0)
+
+    def test_mux_layer_scaled_up(self, rng):
+        w = rng.uniform(-0.1, 0.1, (4, 24))
+        b = rng.uniform(-0.05, 0.05, 4)
+        w2, _, deficit, factor = layer_gain_compensation(
+            w, b, FEBKind.MUX, 25, 10
+        )
+        assert factor > 1.0
+        assert np.abs(w2).max() <= 0.97 + 1e-9
+
+    def test_mux_target_capped(self):
+        """Tiny weights: full 2n/K recovery, deficit 1."""
+        w = np.full((2, 10), 0.01)
+        b = np.zeros(2)
+        _, _, deficit, factor = layer_gain_compensation(
+            w, b, FEBKind.MUX, 10, 4
+        )
+        assert factor == pytest.approx(5.0)   # 2·10/4
+        assert deficit == pytest.approx(1.0)
+
+    def test_unrecoverable_deficit_reported(self):
+        """Large weights cannot absorb the scaling: deficit > 1."""
+        w = np.full((2, 10), 0.9)
+        b = np.zeros(2)
+        _, _, deficit, _ = layer_gain_compensation(
+            w, b, FEBKind.MUX, 10, 4
+        )
+        assert deficit > 3.0
+
+    def test_incoming_deficit_absorbed_by_weights_only(self):
+        w = np.full((2, 4), 0.1)
+        b = np.full(2, 0.1)
+        w2, b2, deficit, _ = layer_gain_compensation(
+            w, b, FEBKind.APC, 5, 10, incoming_deficit=2.0
+        )
+        assert np.allclose(w2, 0.2)   # × incoming deficit
+        assert np.allclose(b2, 0.1)   # biases untouched for APC
+        assert deficit == pytest.approx(1.0)
 
 
 class TestCompileDeterminism:
