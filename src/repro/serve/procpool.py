@@ -5,7 +5,9 @@ beautifully but computes under one GIL: NumPy kernels release it, yet
 the per-layer Python orchestration serializes, so one process cannot
 scale exact-backend throughput with cores.  This module runs **N worker
 processes**, each hosting a full service (own pool, own micro-batcher,
-own GIL), behind a thin frontend that validates, routes and relays:
+own GIL), behind a thin frontend, :class:`ProcServeFacade`, which
+inherits the request lifecycle from
+:class:`~repro.serve.service.ServiceBase` and supplies only the relay:
 
 * **Shared plans** — compiled plans are quantization products, large
   and immutable.  The frontend compiles each warm spec once, packs it
@@ -28,11 +30,13 @@ own GIL), behind a thin frontend that validates, routes and relays:
   resubmitted — safe because serving compute is deterministic and
   side-effect-free, so the worst case is a request computed twice with
   the first reply winning.  No accepted request's reply is dropped.
-* **Drain** — :meth:`ProcServeFacade.drain` refuses new work at the
-  frontend (503 + ``Retry-After``), tells every worker to drain, and
-  :meth:`ProcServeFacade.await_idle` holds SIGTERM shutdown until every
-  accepted reply has been delivered — the single-process guarantee,
-  generalized.  Closing the facade unlinks every shared segment.
+* **Drain** — the inherited ``drain``/``await_idle`` refuse new work
+  at the frontend and hold SIGTERM shutdown until every accepted
+  request has its reply.  Workers are not told: the frontend is their
+  only client, and a drained worker would refuse an accepted request.
+* **Shutdown** — a forked worker closes the frontend-side pipe ends it
+  inherited, so the facade's ``close`` is an EOF every worker sees:
+  each closes its service and exits 0.  Shared segments are unlinked.
 
 Workers are **fork**-context processes (same choice as the DSE runner):
 the model set, the arena's shared segments and an armed ``REPRO_FAULTS``
@@ -56,20 +60,13 @@ import time
 import multiprocessing
 from multiprocessing import connection, shared_memory
 
-import numpy as np
-
 from repro import faults, obs
 from repro.engine import build_graph, compile_plan
 from repro.engine.plan import pack_plan, unpack_plan
 from repro.nn.zoo import model_digest
 from repro.serve.batcher import DeadlineExceeded, QueueFull
-from repro.serve.pool import config_digest
-from repro.serve.service import (
-    InferenceService,
-    RequestResolver,
-    ServiceDraining,
-)
-from repro.serve.stats import LatencyTracker
+from repro.serve.pool import config_digest, hosted_models
+from repro.serve.service import InferenceService, ServiceBase
 
 __all__ = ["PlanArena", "ProcServeFacade"]
 
@@ -80,7 +77,7 @@ _RESTARTS_HELP = "Serve worker processes respawned after dying."
 #: before declaring the reply lost (covers queue + pickling transit)
 REPLY_SLACK_S = 5.0
 
-#: how long control messages (stats scrape, drain ack) may take
+#: how long a worker's stats scrape may take
 CONTROL_TIMEOUT_S = 10.0
 
 _arena_ids = itertools.count()
@@ -173,8 +170,6 @@ class PlanArena:
 
 def _error_kind(exc: BaseException) -> str:
     """Collapse a worker-side exception to a transportable kind tag."""
-    if isinstance(exc, ServiceDraining):
-        return "draining"
     if isinstance(exc, QueueFull):
         return "queue_full"
     if isinstance(exc, DeadlineExceeded):
@@ -189,7 +184,6 @@ def _error_kind(exc: BaseException) -> str:
 def _rebuild_error(kind: str, message: str) -> Exception:
     """Frontend-side inverse of :func:`_error_kind` (keeps HTTP mapping)."""
     return {
-        "draining": ServiceDraining,
         "queue_full": QueueFull,
         "deadline": DeadlineExceeded,
         "timeout": TimeoutError,
@@ -198,8 +192,8 @@ def _rebuild_error(kind: str, message: str) -> Exception:
 
 
 def _worker_main(worker_id: int, models, service_kwargs: dict,
-                 arena: PlanArena, req_conn, rep_conn,
-                 threads: int) -> None:
+                 arena: PlanArena, req_conn, rep_conn, threads: int,
+                 frontend_ends) -> None:
     """A worker process: one full service fed from its request pipe.
 
     Requests are pulled by a small thread pool so concurrent same-spec
@@ -210,8 +204,12 @@ def _worker_main(worker_id: int, models, service_kwargs: dict,
     when a chaos kill lands while a sibling thread holds it, deadlocking
     every later incarnation of the worker — process-local locks die
     with the process.  Shutdown is the frontend closing its send end:
-    every puller sees EOF in turn.
+    every puller sees EOF in turn — once no other process holds that
+    end, hence ``frontend_ends`` (the fork's copies of the frontend-side
+    ends, this worker's and its siblings') are closed first.
     """
+    for conn in frontend_ends:
+        conn.close()
     faults.maybe_install_from_env()
     kwargs = dict(service_kwargs)
     warm = kwargs.pop("warm", True)
@@ -240,41 +238,29 @@ def _worker_main(worker_id: int, models, service_kwargs: dict,
     def _handle(msg) -> None:
         kind, req_id = msg[0], msg[1]
         try:
-            if kind == "predict":
-                _, _, images, deadline, overrides = msg
-                timeout = None
-                if deadline is not None:
-                    # CLOCK_MONOTONIC is system-wide on Linux, so the
-                    # frontend's absolute deadline is meaningful here —
-                    # queue transit counts against the request budget.
-                    timeout = max(deadline - time.monotonic(), 1e-3)
-                preds = service.predict(images, timeout=timeout,
-                                        **overrides)
-                _reply((req_id, True, [int(p) for p in preds]))
-            elif kind == "scene":
-                _, _, scene, stride, deadline, overrides = msg
-                timeout = None
-                if deadline is not None:
-                    timeout = max(deadline - time.monotonic(), 1e-3)
-                result = service.predict_scene(scene, stride=stride,
-                                               timeout=timeout,
-                                               **overrides)
-                # the SceneResult dataclass pickles over the pipe whole
-                _reply((req_id, True, result))
-            elif kind == "stats":
-                service.export_gauges()
+            if kind == "stats":
                 _reply((req_id, True, {
                     "worker": worker_id,
                     "pid": os.getpid(),
                     "stats": service.stats(),
-                    "metrics": obs.render(obs.get_registry()),
+                    "metrics": service.metrics_text(),
                 }))
-            elif kind == "drain":
-                service.drain()
-                _reply((req_id, True, None))
-            else:  # pragma: no cover - protocol bug
-                _reply((req_id, False,
-                        ("internal", f"unknown message {kind!r}")))
+                return
+            *payload, deadline, overrides = msg[2:]
+            timeout = None
+            if deadline is not None:
+                # CLOCK_MONOTONIC is system-wide on Linux, so the
+                # frontend's absolute deadline is meaningful here —
+                # queue transit counts against the request budget.
+                timeout = max(deadline - time.monotonic(), 1e-3)
+            if kind == "predict":
+                preds = service.predict(*payload, timeout=timeout,
+                                        **overrides)
+                _reply((req_id, True, [int(p) for p in preds]))
+            else:
+                # "scene": the SceneResult dataclass pickles whole
+                _reply((req_id, True, service.predict_scene(
+                    *payload, timeout=timeout, **overrides)))
         except BaseException as exc:  # noqa: BLE001 - relay, don't die
             _reply((req_id, False, (_error_kind(exc), str(exc))))
 
@@ -306,17 +292,16 @@ def _worker_main(worker_id: int, models, service_kwargs: dict,
 # ---------------------------------------------------------------------------
 
 class _Pending:
-    """One relayed request awaiting its worker reply."""
+    """One message to a worker awaiting its reply."""
 
-    __slots__ = ("event", "result", "error", "worker", "msg", "model")
+    __slots__ = ("event", "result", "error", "worker", "msg")
 
-    def __init__(self, worker: int, msg, model: str):
+    def __init__(self, worker: int, msg):
         self.event = threading.Event()
         self.result = None
         self.error = None
         self.worker = worker
         self.msg = msg
-        self.model = model
 
 
 class _WorkerLink:
@@ -340,15 +325,15 @@ class _WorkerLink:
                 pass
 
 
-class ProcServeFacade:
+class ProcServeFacade(ServiceBase):
     """N worker processes behind the :class:`InferenceService` API.
 
-    Drop-in for the HTTP layer: it exposes the same surface
-    (``predict``/``predict_one``, ``defaults``, ``input_shape``,
-    ``stats``, ``export_gauges``, ``tracker``, ``draining``/``drain``/
-    ``await_idle``/``close``) plus :meth:`metrics_text`, which the
-    ``/metrics`` handler prefers when present — a merged exposition of
-    the frontend's and every worker's registry.
+    Drop-in for the HTTP layer: the whole request lifecycle — admission,
+    drain, root spans, the ``tracker`` books — is the inherited
+    :class:`~repro.serve.service.ServiceBase`; this class only relays a
+    resolved request to its spec-routed worker.  :meth:`stats` nests
+    every worker's report, and :meth:`metrics_text` merges the
+    frontend's and every worker's registry into one exposition.
 
     Parameters mirror :class:`InferenceService`, plus:
 
@@ -373,19 +358,10 @@ class ProcServeFacade:
                  max_inflight_per_model: int = None):
         if procs < 1:
             raise ValueError("procs must be >= 1")
-        if isinstance(model, dict):
-            if not model:
-                raise ValueError("the model mapping must not be empty")
-            self.models = dict(model)
-        else:
-            self.models = {"default": model}
-        default_model = next(iter(self.models))
-        self.resolver = RequestResolver(
-            self.models, default_model=default_model, backend=backend,
-            length=length, kinds=kinds, pooling=pooling,
-            weight_bits=weight_bits, seed=seed)
-        self.defaults = self.resolver.defaults
-        self.tracker = LatencyTracker()
+        self.models = hosted_models(model)
+        super().__init__(self.models, backend=backend, length=length,
+                         kinds=kinds, pooling=pooling,
+                         weight_bits=weight_bits, seed=seed)
         self.procs = int(procs)
         self.max_inflight_per_model = (2 * int(max_queue)
                                        if max_inflight_per_model is None
@@ -412,9 +388,6 @@ class ProcServeFacade:
         self._lock = threading.Lock()
         self._pending = {}          # req_id -> _Pending
         self._inflight_by_model = {}
-        self._idle = threading.Condition(self._lock)
-        self._draining = False
-        self._closed = False
         self._closing = threading.Event()
         self._restarts = 0
 
@@ -433,20 +406,24 @@ class ProcServeFacade:
         Each incarnation gets its own request/reply pipe pair: shared
         cross-process queue locks would be left permanently acquired by
         a worker killed at the wrong instant, wedging every later
-        incarnation.  Pipes carry no shared lock, and the parent closes
-        its copies of the worker-side ends immediately after the fork
-        so a worker's death surfaces as EOF on the reply pipe.
+        incarnation.  Pipes carry no shared lock.  The fork copies every
+        frontend-side end into the child, which closes them on entry;
+        the parent closes its copies of the worker-side ends right after
+        the fork.  So each pipe end lives in exactly one process, and
+        both a worker's death and the frontend's shutdown surface as EOF.
         """
         req_recv, req_send = self._ctx.Pipe(duplex=False)
         rep_recv, rep_send = self._ctx.Pipe(duplex=False)
+        frontend_ends = [req_send, rep_recv] + [
+            conn for link in self._links if link is not None
+            for conn in (link.req_send, link.rep_recv)]
         proc = self._ctx.Process(
             target=_worker_main,
             args=(index, self.models, self._service_kwargs, self.arena,
-                  req_recv, rep_send, self._worker_threads),
+                  req_recv, rep_send, self._worker_threads, frontend_ends),
             name=f"serve-worker-{index}", daemon=True)
         proc.start()
-        # The parent's copies of the worker-side ends must close right
-        # away — before any later fork can inherit them — or reply-pipe
+        # Closed before any later fork can inherit them, or reply-pipe
         # EOF would never fire when this worker dies.
         req_recv.close()
         rep_send.close()
@@ -457,26 +434,22 @@ class ProcServeFacade:
         link.reader.start()
         self._links[index] = link
 
-    def _send(self, index: int, msg) -> bool:
-        """Send to one worker; False if its pipe is already broken."""
+    def _send(self, index: int, msg) -> None:
+        """Send to one worker; a broken pipe is left to the monitor,
+        whose respawn resubmits everything pending on it."""
         link = self._links[index]
-        if link is None:
-            return False
         try:
             with link.send_lock:
                 link.req_send.send(msg)
-            return True
         except (BrokenPipeError, OSError):
-            # Worker died before the monitor noticed; the respawn path
-            # resubmits everything registered as pending on it.
-            return False
+            pass
 
     def _watch_workers(self) -> None:
         """Respawn dead workers; resubmit their in-flight requests."""
         while not self._closing.is_set():
             sentinels = {link.proc.sentinel: i
                          for i, link in enumerate(self._links)
-                         if link is not None and link.proc.is_alive()}
+                         if link.proc.is_alive()}
             if not sentinels:
                 if self._closing.wait(0.2):
                     return
@@ -529,8 +502,32 @@ class ProcServeFacade:
                 pending.error = _rebuild_error(*payload)
             pending.event.set()
 
+    def _exchange(self, index: int, kind: str, args=(), timeout=None):
+        """Send one message to worker ``index``; block for its reply.
+
+        Raises the worker's error, or ``TimeoutError`` after
+        ``timeout`` s.  Pending until then, so if the worker dies the
+        monitor's respawn resubmits it.
+        """
+        req_id = next(self._ids)
+        msg = (kind, req_id, *args)
+        pending = _Pending(index, msg)
+        with self._lock:
+            self._pending[req_id] = pending
+        try:
+            self._send(index, msg)
+            if not pending.event.wait(timeout):
+                raise TimeoutError(
+                    f"no reply from worker {index} within {timeout:.1f}s")
+            if pending.error is not None:
+                raise pending.error
+            return pending.result
+        finally:
+            with self._lock:
+                self._pending.pop(req_id, None)
+
     # ------------------------------------------------------------------
-    # request path
+    # request execution (the lifecycle lives in ServiceBase)
     # ------------------------------------------------------------------
     def _route(self, key) -> int:
         """Deterministic worker index for a request group key.
@@ -545,85 +542,10 @@ class ProcServeFacade:
         digest = hashlib.sha1(basis.encode("utf8")).hexdigest()
         return int(digest[:8], 16) % self.procs
 
-    def predict(self, images, timeout: float = None, **overrides
-                ) -> np.ndarray:
-        """Class predictions for one or many images (blocking).
-
-        Same contract as :meth:`InferenceService.predict`; the work runs
-        in whichever worker the request's spec routes to.
-        """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        with self._lock:
-            if self._draining:
-                raise ServiceDraining(
-                    "service is draining; not accepting new requests")
-        start = time.monotonic()
-        model = None
-        try:
-            with obs.span("serve.predict",
-                          model=str(overrides.get(
-                              "model", self.defaults["model"])),
-                          backend=str(overrides.get(
-                              "backend", self.defaults["backend"]))):
-                key, _, _ = self.resolver.resolve(overrides)
-                batch = self.resolver.as_images(images, model=key[0])
-                model = key[0]
-                preds = np.asarray(
-                    self._relay(key, model, batch, start, timeout,
-                                overrides),
-                    dtype=np.int64)
-        except (DeadlineExceeded, TimeoutError):
-            self.tracker.record_shed()
-            raise
-        except Exception:
-            self.tracker.record_error()
-            raise
-        self.tracker.record(time.monotonic() - start)
-        return preds
-
-    def predict_scene(self, scene, stride: int = None,
-                      timeout: float = None, **overrides):
-        """Tiled scene inference, relayed to the spec-affine worker.
-
-        The whole scene travels as one message, so all its windows land
-        in one worker's micro-batcher and coalesce there; the reply is
-        the worker's :class:`repro.engine.tiled.SceneResult`, which with
-        the exact backend is bit-identical at any worker count (each
-        window's streams fork from the per-request snapshot).  The
-        scene payload is validated frontend-side first, so malformed
-        requests 400 without crossing a process boundary.
-        """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        with self._lock:
-            if self._draining:
-                raise ServiceDraining(
-                    "service is draining; not accepting new requests")
-        start = time.monotonic()
-        try:
-            with obs.span("serve.scene",
-                          model=str(overrides.get(
-                              "model", self.defaults["model"])),
-                          backend=str(overrides.get(
-                              "backend", self.defaults["backend"]))):
-                key, _, _ = self.resolver.resolve(overrides)
-                scene, _, _ = self.resolver.resolve_scene(
-                    scene, model=key[0], stride=stride)
-                result = self._relay(key, key[0], scene, start, timeout,
-                                     overrides, kind="scene",
-                                     extra=(stride,))
-        except (DeadlineExceeded, TimeoutError):
-            self.tracker.record_shed()
-            raise
-        except Exception:
-            self.tracker.record_error()
-            raise
-        self.tracker.record(time.monotonic() - start)
-        return result
-
-    def _relay(self, key, model: str, batch, start: float,
-               timeout, overrides, kind: str = "predict", extra=()):
+    def _relay(self, request, key, kind: str, *payload):
+        """Relay an admitted request to its spec-routed worker, under
+        the per-model admission bound and the same absolute deadline."""
+        model = key[0]
         with self._lock:
             inflight = self._inflight_by_model.get(model, 0)
             if inflight >= self.max_inflight_per_model:
@@ -635,100 +557,44 @@ class ProcServeFacade:
                     f"flight (admission limit "
                     f"{self.max_inflight_per_model}); retry shortly")
             self._inflight_by_model[model] = inflight + 1
-        req_id = next(self._ids)
-        deadline = None if timeout is None else start + timeout
-        index = self._route(key)
-        msg = (kind, req_id, batch, *extra, deadline, overrides)
-        pending = _Pending(index, msg, model)
         try:
-            with self._lock:
-                self._pending[req_id] = pending
-            # A failed send means the worker just died: leave the
-            # request pending — the monitor's respawn resubmits it.
-            self._send(index, msg)
-            wait = None if timeout is None else timeout + REPLY_SLACK_S
-            if not pending.event.wait(wait):
-                raise TimeoutError(
-                    f"no reply from worker {index} within {wait:.1f}s")
-            if pending.error is not None:
-                raise pending.error
-            return pending.result
+            wait = (None if request.deadline is None
+                    else request.remaining() + REPLY_SLACK_S)
+            return self._exchange(
+                self._route(key), kind,
+                (*payload, request.deadline, request.overrides),
+                timeout=wait)
         finally:
             with self._lock:
-                self._pending.pop(req_id, None)
-                self._inflight_by_model[model] = \
-                    self._inflight_by_model.get(model, 1) - 1
-                if not self._pending:
-                    self._idle.notify_all()
+                self._inflight_by_model[model] -= 1
 
-    def predict_one(self, image, timeout: float = None, **overrides) -> int:
-        """Single-image convenience wrapper around :meth:`predict`."""
-        return int(self.predict(image, timeout=timeout, **overrides)[0])
+    def _serve_images(self, request, key, batch) -> list:
+        return self._relay(request, key, "predict", batch)
 
-    def input_shape(self, model=None) -> tuple:
-        return self.resolver.input_shape(model)
+    def _serve_scene(self, request, key, scene, stride, boxes, windows):
+        # The whole scene travels as one message, so all its windows
+        # land in one worker's micro-batcher and coalesce there; the
+        # reply is that worker's SceneResult.
+        return self._relay(request, key, "scene", scene, stride)
 
     # ------------------------------------------------------------------
-    # control plane
+    # telemetry
     # ------------------------------------------------------------------
-    def _control(self, index: int, kind: str,
-                 timeout: float = CONTROL_TIMEOUT_S):
-        """Send a control message to one worker and await its reply."""
-        req_id = next(self._ids)
-        pending = _Pending(index, (kind, req_id), model="")
-        with self._lock:
-            self._pending[req_id] = pending
-        try:
-            if not self._send(index, (kind, req_id)):
-                return None
-            if not pending.event.wait(timeout):
-                return None
-            if pending.error is not None:
-                return None
-            return pending.result
-        finally:
-            with self._lock:
-                self._pending.pop(req_id, None)
-                if not self._pending:
-                    self._idle.notify_all()
-
     def _alive(self) -> int:
-        return sum(1 for link in self._links
-                   if link is not None and link.proc.is_alive())
+        return sum(1 for link in self._links if link.proc.is_alive())
 
     def _scrape_workers(self) -> list:
+        """Every live worker's stats reply; a silent worker is skipped."""
         replies = []
         for index, link in enumerate(self._links):
-            if link is None or not link.proc.is_alive():
+            if not link.proc.is_alive():
                 continue
-            reply = self._control(index, "stats")
-            if reply is not None:
-                replies.append(reply)
+            try:
+                replies.append(self._exchange(index, "stats",
+                                              timeout=CONTROL_TIMEOUT_S))
+            except (RuntimeError, TimeoutError, ValueError):
+                continue
         return replies
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def drain(self) -> None:
-        """Refuse new requests; in-flight ones still complete.
-
-        Frontend-first: the accept path is shut before workers are
-        told, so no request can slip in behind the drain.  Idempotent.
-        """
-        with self._lock:
-            already = self._draining
-            self._draining = True
-        if already:
-            return
-        for index, link in enumerate(self._links):
-            if link is not None and link.proc.is_alive():
-                self._control(index, "drain", timeout=2.0)
-
-    def await_idle(self, timeout: float = None) -> bool:
-        """Block until no relayed request awaits a reply."""
-        with self._idle:
-            return self._idle.wait_for(lambda: not self._pending, timeout)
 
     def stats(self) -> dict:
         """Frontend telemetry plus every worker's own ``stats()``."""
@@ -756,6 +622,7 @@ class ProcServeFacade:
 
     def export_gauges(self) -> None:
         """Frontend gauges (worker gauges publish worker-side)."""
+        super().export_gauges()
         obs.gauge("repro_serve_procs",
                   "Serve worker processes configured.").set(self.procs)
         obs.gauge("repro_serve_procs_alive",
@@ -764,9 +631,6 @@ class ProcServeFacade:
         obs.gauge("repro_serve_frontend_pending",
                   "Relayed requests awaiting a worker reply.").set(
                       len(self._pending))
-        obs.gauge("repro_serve_draining",
-                  "1 while the service refuses new requests.").set(
-                      1 if self._draining else 0)
 
     def metrics_text(self) -> str:
         """One exposition for the whole server: frontend + all workers.
@@ -775,8 +639,7 @@ class ProcServeFacade:
         read as per-process totals (e.g. ``repro_pool_engines`` counts
         engines resident in *any* worker).
         """
-        self.export_gauges()
-        texts = [obs.render(obs.get_registry())]
+        texts = [super().metrics_text()]
         texts += [reply["metrics"] for reply in self._scrape_workers()]
         return obs.merge(texts)
 
@@ -789,31 +652,18 @@ class ProcServeFacade:
             return
         self._closed = True
         self._closing.set()
-        # Closing our send end delivers EOF to every worker puller
-        # thread, which is the shutdown signal in the pipe protocol.
+        # Our send ends are the only copies: closing them is each
+        # worker's EOF, after which it closes its service and exits.
         for link in self._links:
-            if link is None:
-                continue
-            try:
-                link.req_send.close()
-            except OSError:  # pragma: no cover
-                pass
+            link.req_send.close()
         for link in self._links:
-            if link is None:
-                continue
             link.proc.join(timeout=5.0)
             if link.proc.is_alive():  # pragma: no cover - hung worker
                 link.proc.terminate()
                 link.proc.join(timeout=1.0)
             link.close()
         self._monitor.join(timeout=2.0)
-        for link in self._links:
-            if link is not None and link.reader is not None:
-                link.reader.join(timeout=2.0)
         self.arena.close(unlink=True)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        for link in self._links:
+            link.reader.join(timeout=2.0)
+            link.proc.close()  # releases the process sentinel's fds

@@ -32,12 +32,12 @@ Endpoints:
     micro-batching under load.
 
 ``GET /metrics``
-    Prometheus text exposition of the process-wide
-    :mod:`repro.obs` registry: serve counters/histograms, live gauges
-    (queue depth, in-flight batches, pool residency — published at
-    scrape time by ``service.export_gauges()``), per-kernel per-tier
-    wall time when ``REPRO_PROFILE=1``, and fault-injection trip
-    counters.
+    Prometheus text exposition from ``service.metrics_text()`` — the
+    process-wide :mod:`repro.obs` registry (merged with every worker's
+    under ``--procs``): serve counters/histograms, live gauges (queue
+    depth, in-flight batches, pool residency — published at scrape
+    time), per-kernel per-tier wall time when ``REPRO_PROFILE=1``, and
+    fault-injection trip counters.
 
 The server is a threading HTTP server: each connection gets a thread,
 so concurrent clients genuinely enqueue concurrently and the
@@ -142,16 +142,10 @@ class ServeHandler(BaseHTTPRequestHandler):
             elif self.path == "/stats":
                 self._reply(200, service.stats())
             elif self.path == "/metrics":
-                # Gauges describe *now*: publish them at scrape time so
-                # the hot path never churns them.  A multi-process
-                # facade supplies its own merged exposition (frontend +
-                # every worker registry); the in-process service just
-                # renders this process's registry.
-                if hasattr(service, "metrics_text"):
-                    self._reply_text(200, service.metrics_text())
-                else:
-                    service.export_gauges()
-                    self._reply_text(200, obs.render(obs.get_registry()))
+                # Gauges describe *now*: metrics_text() publishes them
+                # at scrape time so the hot path never churns them (the
+                # multi-process facade merges every worker's registry).
+                self._reply_text(200, service.metrics_text())
             else:
                 self._reply(404, {
                     "error": f"unknown path {self.path!r}; "

@@ -1,18 +1,23 @@
-"""In-process inference service: pool + micro-batcher + telemetry.
+"""In-process inference service, and the request lifecycle it shares.
 
-:class:`InferenceService` is the embeddable core the HTTP server wraps
-(and the right entry point for Python callers — tests and the load
-generator drive it directly).  A request is a single 28×28 bipolar image
-plus an optional spec override (model, backend, stream length, FEB
-kinds, pooling, weight bits, seed); the service:
+:class:`ServiceBase` is the one request lifecycle of both serving
+frontends, this module's :class:`InferenceService` and the multi-process
+:class:`~repro.serve.procpool.ProcServeFacade`.  A request — images or a
+composite scene, plus optional spec overrides (model, backend, stream
+length, FEB kinds, pooling, weight bits, seed) — is admitted, resolved
+by the engine-free :class:`RequestResolver` into a canonical
+:class:`repro.core.config.NetworkConfig` and a hashable *group key*
+(everything two requests must agree on to share one engine call), and
+booked exactly once: latency, shed or error.  Subclasses supply only
+execution.  :class:`InferenceService` — the embeddable core the HTTP
+server wraps, and the entry point for Python callers — executes in
+process:
 
-1. resolves the spec against its defaults into a canonical
-   :class:`repro.core.config.NetworkConfig` and a hashable *group key* —
-   everything two requests must agree on to share one engine call;
-2. enqueues the image on the :class:`repro.serve.batcher.MicroBatcher`,
-   which coalesces concurrent same-group requests into one batched
-   engine call bounded by ``max_batch``/``max_wait_ms``;
-3. serves the batch from the :class:`repro.serve.pool.EnginePool`'s
+1. each image or scene window becomes one ticket on the
+   :class:`repro.serve.batcher.MicroBatcher`, which coalesces
+   concurrent same-group tickets into batched engine calls bounded by
+   ``max_batch``/``max_wait_ms``;
+2. the batch is served from the :class:`repro.serve.pool.EnginePool`'s
    shared engine.  Exact-backend batches run through
    ``forward_independent``, so every response is bit-identical to a
    dedicated single-request ``Engine.predict`` with the same per-request
@@ -21,21 +26,22 @@ kinds, pooling, weight bits, seed); the service:
    per engine instead — their responses are statistically, not bitwise,
    batch-invariant; ``float`` is deterministic either way.
 
-Multi-image requests fan out into per-image queue entries, so they both
-benefit from and contribute to coalescing.
-
 Failure model: request ``timeout`` becomes a queue *deadline* — a
 request still queued past it is shed before compute
 (:class:`~repro.serve.batcher.DeadlineExceeded`, HTTP 504) rather than
-burning engine time on an abandoned wait.  :meth:`InferenceService.
-drain` flips the service into drain mode: new requests are refused with
-:class:`ServiceDraining` (HTTP 503 + ``Retry-After``) while in-flight
-work runs to completion (:meth:`InferenceService.await_idle`) — the
-SIGTERM path of :func:`repro.serve.server.run_server`.
+burning engine time on an abandoned wait.  A request that fails for any
+reason — deadline, a ``QueueFull`` halfway through its fan-out, a
+compute error — cancels every ticket it already submitted, so nothing
+is computed for nobody.  :meth:`ServiceBase.drain` flips the service
+into drain mode: new requests are refused with :class:`ServiceDraining`
+(HTTP 503 + ``Retry-After``) while in-flight work runs to completion
+(:meth:`ServiceBase.await_idle`) — the SIGTERM path of
+:func:`repro.serve.server.run_server`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import threading
 import time
@@ -61,8 +67,9 @@ from repro.serve.stats import LatencyTracker
 
 # re-exported for serving callers; the parsers live with the config
 # domain in repro.core.config
-__all__ = ["InferenceService", "RequestResolver", "ServiceDraining",
-           "payload_fingerprint", "resolve_pooling", "resolve_kinds"]
+__all__ = ["InferenceService", "RequestResolver", "ServiceBase",
+           "ServiceDraining", "payload_fingerprint", "resolve_pooling",
+           "resolve_kinds"]
 
 
 class ServiceDraining(RuntimeError):
@@ -89,9 +96,9 @@ class RequestResolver:
     against the hosted models, resolving them into a canonical
     :class:`~repro.core.config.NetworkConfig`, and deriving the hashable
     *group key* — the fields two requests must agree on to share one
-    batched engine call.  :class:`InferenceService` composes one, and the
-    multi-process frontend (:mod:`repro.serve.procpool`) uses its own to
-    reject malformed requests with a 400 and pick a worker **without**
+    batched engine call.  Every :class:`ServiceBase` owns one, so the
+    multi-process frontend (:mod:`repro.serve.procpool`) rejects
+    malformed requests with a 400 and picks a worker **without**
     crossing a process boundary.
 
     All failures raise ``ValueError`` — the HTTP layer's 400 class.
@@ -226,7 +233,206 @@ class RequestResolver:
         }
 
 
-class InferenceService:
+class _Request:
+    """One admitted request: overrides, deadline, submitted tickets."""
+
+    __slots__ = ("overrides", "deadline", "tickets")
+
+    def __init__(self, overrides: dict, deadline):
+        self.overrides = overrides
+        self.deadline = deadline  # monotonic instant, or None
+        self.tickets = []
+
+    def remaining(self):
+        """Seconds left before the deadline (``None``: unbounded)."""
+        if self.deadline is None:
+            return None
+        return max(self.deadline - time.monotonic(), 0.0)
+
+
+class ServiceBase:
+    """The request lifecycle both serving frontends share.
+
+    Subclasses supply execution — :meth:`_serve_images` and
+    :meth:`_serve_scene` — plus ``stats`` and ``close``.
+    """
+
+    def __init__(self, models: dict, **spec):
+        # ``models`` is the hosted {name: model} mapping, its first entry
+        # the default; ``spec`` the default request fields.
+        self.resolver = RequestResolver(
+            models, default_model=next(iter(models)), **spec)
+        self.defaults = self.resolver.defaults
+        self.tracker = LatencyTracker()
+        self._closed = False
+        self._draining = False
+        self._inflight = 0
+        self._idle = threading.Condition()
+
+    # ------------------------------------------------------------------
+    # the lifecycle
+    # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def _lifecycle(self, span: str, timeout, overrides: dict):
+        """Admit one request, open its root span, book it exactly once.
+
+        A failed request cancels every ticket it already submitted —
+        execution appends each to ``request.tickets`` as it submits —
+        so none is computed for nobody.
+        """
+        if self._closed:
+            raise RuntimeError("service is closed")
+        # Atomic under ``_idle``: a request is either refused or
+        # visible to ``await_idle()`` from the instant it is accepted.
+        with self._idle:
+            if self._draining:
+                raise ServiceDraining(
+                    "service is draining; not accepting new requests")
+            self._inflight += 1
+        start = time.monotonic()
+        request = _Request(overrides,
+                           None if timeout is None else start + timeout)
+        try:
+            # Root span of the request lifecycle: tickets capture it at
+            # submit time, so the batcher's queue/coalesce/compute spans
+            # (recorded on worker threads) all parent back here.
+            with obs.span(span,
+                          model=str(overrides.get(
+                              "model", self.defaults["model"])),
+                          backend=str(overrides.get(
+                              "backend", self.defaults["backend"]))):
+                yield request
+        except Exception as exc:
+            for ticket in request.tickets:
+                ticket.cancel()
+            if isinstance(exc, (DeadlineExceeded, TimeoutError)):
+                self.tracker.record_shed()
+            else:
+                self.tracker.record_error()
+            raise
+        finally:
+            with self._idle:
+                self._inflight -= 1
+                if self._inflight == 0:
+                    self._idle.notify_all()
+        self.tracker.record(time.monotonic() - start)
+
+    def _serve_images(self, request: _Request, key, batch) -> list:
+        """Per-image class predictions for a resolved image batch."""
+        raise NotImplementedError
+
+    def _serve_scene(self, request: _Request, key, scene: Scene, stride,
+                     boxes, windows) -> SceneResult:
+        """The :class:`SceneResult` for a resolved scene request."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # public API
+    # ------------------------------------------------------------------
+    def predict(self, images, timeout: float = None, **overrides
+                ) -> np.ndarray:
+        """Class predictions for one or many images (blocking).
+
+        Accepts a single image (``(784,)`` or ``(28, 28)``) or a batch;
+        returns an ``(N,)`` int array.  Keyword overrides (``model``,
+        ``backend``, ``length``, ``kinds``, ``pooling``, ``weight_bits``,
+        ``seed``) replace the service defaults for this request only —
+        ``model`` selects among the registered zoo entries.  ``timeout``
+        bounds the *whole* request, not each image — it also becomes
+        the queue deadline, so a request that cannot be served in time
+        is shed before compute
+        (:class:`~repro.serve.batcher.DeadlineExceeded`) instead of
+        evaluated for nobody.
+        """
+        with self._lifecycle("serve.predict", timeout,
+                             overrides) as request:
+            key, _, _ = self.resolver.resolve(overrides)
+            batch = self.resolver.as_images(images, model=key[0])
+            preds = np.asarray(self._serve_images(request, key, batch),
+                               dtype=np.int64)
+        return preds
+
+    def predict_one(self, image, timeout: float = None, **overrides) -> int:
+        """Single-image convenience wrapper around :meth:`predict`."""
+        return int(self.predict(image, timeout=timeout, **overrides)[0])
+
+    def predict_scene(self, scene, stride: int = None,
+                      timeout: float = None, **overrides) -> SceneResult:
+        """Tiled inference over a composite scene (blocking).
+
+        ``scene`` is a :class:`repro.data.scenes.Scene` or its JSON
+        payload form; it is validated against the target model before
+        any engine work.  With the exact backend every window's logits
+        are bit-identical to a dedicated single-window run, so scene
+        replies depend on neither batching nor worker count.
+        ``stride`` defaults to the model tile height (non-overlapping
+        windows); returns a :class:`repro.engine.tiled.SceneResult`.
+        """
+        with self._lifecycle("serve.scene", timeout, overrides) as request:
+            key, _, _ = self.resolver.resolve(overrides)
+            scene, boxes, windows = self.resolver.resolve_scene(
+                scene, model=key[0], stride=stride)
+            result = self._serve_scene(request, key, scene, stride, boxes,
+                                       windows)
+        return result
+
+    def input_shape(self, model=None) -> tuple:
+        """A hosted model's ``(channels, height, width)`` input geometry.
+
+        Raises ``ValueError`` for unregistered names (the HTTP layer maps
+        that to a 400, same as :meth:`predict` would).
+        """
+        return self.resolver.input_shape(model)
+
+    # ------------------------------------------------------------------
+    # drain / telemetry
+    # ------------------------------------------------------------------
+    @property
+    def draining(self) -> bool:
+        return self._draining
+
+    def drain(self) -> None:
+        """Stop accepting new requests; in-flight ones run to completion.
+
+        Idempotent.  Pair with :meth:`await_idle` then ``close`` for a
+        graceful shutdown that never drops an accepted request.
+        """
+        # Under ``_idle`` so it serializes against the accept path: once
+        # drain() returns, every in-flight request is counted.
+        with self._idle:
+            self._draining = True
+
+    def await_idle(self, timeout: float = None) -> bool:
+        """Block until no request is in flight; False on timeout."""
+        with self._idle:
+            return self._idle.wait_for(lambda: self._inflight == 0,
+                                       timeout)
+
+    def export_gauges(self) -> None:
+        """Publish point-in-time gauges into the current registry.
+
+        Called by scrapers (the ``/metrics`` handler, tests) rather than
+        continuously: gauges describe *now*, so setting them at scrape
+        time keeps the hot path free of gauge churn and means a registry
+        swapped in by a test sees values the moment it scrapes.
+        """
+        obs.gauge("repro_serve_draining",
+                  "1 while the service refuses new requests.").set(
+                      1 if self._draining else 0)
+
+    def metrics_text(self) -> str:
+        """Prometheus exposition of this process's registry (``/metrics``)."""
+        self.export_gauges()
+        return obs.render(obs.get_registry())
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+class InferenceService(ServiceBase):
     """Micro-batched inference over pooled engines for a trained model set.
 
     Parameters
@@ -259,50 +465,23 @@ class InferenceService:
                  max_queue: int = 1024, max_engines: int = 8,
                  warm: bool = True):
         self.pool = EnginePool(model, max_engines=max_engines)
-        self.resolver = RequestResolver(
-            self.pool.models, default_model=self.pool.default_model,
-            backend=backend, length=length, kinds=kinds, pooling=pooling,
-            weight_bits=weight_bits, seed=seed)
-        self.defaults = self.resolver.defaults
+        super().__init__(self.pool.models, backend=backend, length=length,
+                         kinds=kinds, pooling=pooling,
+                         weight_bits=weight_bits, seed=seed)
         self.batcher = MicroBatcher(self._run_batch, max_batch=max_batch,
                                     max_wait_ms=max_wait_ms,
                                     workers=workers, max_queue=max_queue)
-        self.tracker = LatencyTracker()
-        self._closed = False
-        self._draining = False
-        self._inflight = 0
-        self._idle = threading.Condition()
         if warm:
-            self.pool.get(self._resolve({})[1], backend=backend,
+            self.pool.get(self.resolver.resolve({})[1], backend=backend,
                           weight_bits=weight_bits, seed=self.defaults["seed"],
                           model=self.pool.default_model)
-
-    # ------------------------------------------------------------------
-    # request resolution (delegated to the shared resolver)
-    # ------------------------------------------------------------------
-    def _resolve(self, overrides: dict):
-        return self.resolver.resolve(overrides)
-
-    def _model_meta(self, model: str) -> tuple:
-        return self.resolver.model_meta(model)
-
-    def input_shape(self, model=None) -> tuple:
-        """A hosted model's ``(channels, height, width)`` input geometry.
-
-        Raises ``ValueError`` for unregistered names (the HTTP layer maps
-        that to a 400, same as :meth:`predict` would).
-        """
-        return self.resolver.input_shape(model)
-
-    def _as_images(self, images, model: str) -> np.ndarray:
-        return self.resolver.as_images(images, model)
 
     # ------------------------------------------------------------------
     # batched execution (called by batcher workers)
     # ------------------------------------------------------------------
     def _run_batch(self, key, payloads):
         # A 6-tuple key is a scene-window group: same spec fields plus
-        # the "logits" marker appended by predict_scene, so scene
+        # the "logits" marker appended by _serve_scene, so scene
         # windows coalesce among themselves and get raw logits back
         # (the reduction needs margins, not argmaxes) while plain
         # predict traffic keeps its 5-tuple key and argmax replies.
@@ -337,175 +516,39 @@ class InferenceService:
         return list(np.argmax(logits, axis=1))
 
     # ------------------------------------------------------------------
-    # public API
+    # request execution (the lifecycle lives in ServiceBase)
     # ------------------------------------------------------------------
-    def predict(self, images, timeout: float = None, **overrides
-                ) -> np.ndarray:
-        """Class predictions for one or many images (blocking).
+    def _fan_out(self, request: _Request, key, payloads) -> list:
+        """One batcher ticket per payload; their results, in order.
 
-        Accepts a single image (``(784,)`` or ``(28, 28)``) or a batch;
-        returns an ``(N,)`` int array.  Keyword overrides (``model``,
-        ``backend``, ``length``, ``kinds``, ``pooling``, ``weight_bits``,
-        ``seed``) replace the service defaults for this request only —
-        ``model`` selects among the registered zoo entries.  Every image
-        goes through the micro-batcher, so concurrent callers coalesce.
-        ``timeout`` bounds the *whole* request, not each image — it also
-        becomes the tickets' queue deadline, so a request that cannot be
-        served in time is shed before compute
-        (:class:`~repro.serve.batcher.DeadlineExceeded`) instead of
-        evaluated for nobody.
+        Every image or window is its own queue entry, so a request both
+        benefits from and contributes to coalescing.
         """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        # The draining check and the inflight bump are atomic under
-        # ``_idle``: a request must either be refused or be visible to
-        # ``await_idle()`` from the instant it is accepted.  Checking
-        # ``_draining`` outside the lock left a window where a request
-        # racing ``drain()`` + ``await_idle()`` was accepted yet
-        # invisible to the idle wait — its reply could be dropped on
-        # SIGTERM.
-        with self._idle:
-            if self._draining:
-                raise ServiceDraining(
-                    "service is draining; not accepting new requests")
-            self._inflight += 1
-        start = time.monotonic()
-        deadline = None if timeout is None else start + timeout
-        tickets = []
-        try:
-            # Root span of the request lifecycle: tickets capture it at
-            # submit time, so the batcher's queue/coalesce/compute spans
-            # (recorded on worker threads) all parent back here.
-            with obs.span("serve.predict",
-                          model=str(overrides.get(
-                              "model", self.defaults["model"])),
-                          backend=str(overrides.get(
-                              "backend", self.defaults["backend"]))):
-                key, _, _ = self._resolve(overrides)
-                batch = self._as_images(images, model=key[0])
-                tickets = [self.batcher.submit(key, image,
-                                               deadline=deadline)
-                           for image in batch]
-                preds = np.array(
-                    [t.result(None if deadline is None
-                              else max(deadline - time.monotonic(), 0.0))
-                     for t in tickets],
-                    dtype=np.int64)
-        except (DeadlineExceeded, TimeoutError):
-            # Abandon the whole request: sibling tickets still queued
-            # would otherwise be computed for nobody.
-            for ticket in tickets:
-                ticket.cancel()
-            self.tracker.record_shed()
-            raise
-        except Exception:
-            self.tracker.record_error()
-            raise
-        finally:
-            with self._idle:
-                self._inflight -= 1
-                if self._inflight == 0:
-                    self._idle.notify_all()
-        self.tracker.record(time.monotonic() - start)
-        return preds
+        for payload in payloads:
+            request.tickets.append(self.batcher.submit(
+                key, payload, deadline=request.deadline))
+        return [ticket.result(request.remaining())
+                for ticket in request.tickets]
 
-    def predict_one(self, image, timeout: float = None, **overrides) -> int:
-        """Single-image convenience wrapper around :meth:`predict`."""
-        return int(self.predict(image, timeout=timeout, **overrides)[0])
+    def _serve_images(self, request, key, batch) -> list:
+        return self._fan_out(request, key, batch)
 
-    def predict_scene(self, scene, stride: int = None,
-                      timeout: float = None, **overrides) -> SceneResult:
-        """Tiled inference over a composite scene (blocking).
-
-        ``scene`` is a :class:`repro.data.scenes.Scene` or its JSON
-        payload form.  One request fans out into a per-window ticket
-        batch on the micro-batcher — all windows of a scene share one
-        group key (the request spec plus a ``"logits"`` marker), so
-        they coalesce into engine calls together (and with concurrent
-        same-spec scene traffic).  With the exact backend every
-        window's logits are bit-identical to a dedicated single-window
-        run, so scene replies do not depend on batching or worker
-        count.  ``stride`` defaults to the model tile height
-        (non-overlapping windows); returns a
-        :class:`repro.engine.tiled.SceneResult`.
-        """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        with self._idle:
-            if self._draining:
-                raise ServiceDraining(
-                    "service is draining; not accepting new requests")
-            self._inflight += 1
-        start = time.monotonic()
-        deadline = None if timeout is None else start + timeout
-        tickets = []
-        try:
-            with obs.span("serve.scene",
-                          model=str(overrides.get(
-                              "model", self.defaults["model"])),
-                          backend=str(overrides.get(
-                              "backend", self.defaults["backend"]))):
-                key, _, _ = self._resolve(overrides)
-                scene, boxes, flat = self.resolver.resolve_scene(
-                    scene, model=key[0], stride=stride)
-                logits_key = key + ("logits",)
-                tickets = [self.batcher.submit(logits_key, window,
-                                               deadline=deadline)
-                           for window in flat]
-                logits = np.stack(
-                    [np.asarray(
-                        t.result(None if deadline is None
-                                 else max(deadline - time.monotonic(),
-                                          0.0)),
-                        dtype=np.float64)
-                     for t in tickets])
-                cell_preds, cell_windows = reduce_scene(
-                    scene.kind, [c.box for c in scene.cells], boxes,
-                    logits)
-                result = SceneResult(kind=scene.kind, boxes=boxes,
-                                     window_logits=logits,
-                                     cell_preds=cell_preds,
-                                     cell_windows=cell_windows)
-        except (DeadlineExceeded, TimeoutError):
-            for ticket in tickets:
-                ticket.cancel()
-            self.tracker.record_shed()
-            raise
-        except Exception:
-            self.tracker.record_error()
-            raise
-        finally:
-            with self._idle:
-                self._inflight -= 1
-                if self._inflight == 0:
-                    self._idle.notify_all()
-        self.tracker.record(time.monotonic() - start)
-        return result
+    def _serve_scene(self, request, key, scene, stride, boxes, windows):
+        # All windows of a scene share one group key (the request spec
+        # plus a "logits" marker), so they coalesce into engine calls
+        # together and with concurrent same-spec scene traffic.
+        logits = np.stack([
+            np.asarray(row, dtype=np.float64)
+            for row in self._fan_out(request, key + ("logits",), windows)])
+        cell_preds, cell_windows = reduce_scene(
+            scene.kind, [c.box for c in scene.cells], boxes, logits)
+        return SceneResult(kind=scene.kind, boxes=boxes,
+                           window_logits=logits, cell_preds=cell_preds,
+                           cell_windows=cell_windows)
 
     # ------------------------------------------------------------------
-    # drain / shutdown
+    # telemetry / shutdown
     # ------------------------------------------------------------------
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def drain(self) -> None:
-        """Stop accepting new requests; in-flight ones run to completion.
-
-        Idempotent.  Pair with :meth:`await_idle` then :meth:`close` for
-        a graceful shutdown that never drops an accepted request.
-        """
-        # Under ``_idle`` so it serializes against the accept path: once
-        # drain() returns, every in-flight request is counted.
-        with self._idle:
-            self._draining = True
-
-    def await_idle(self, timeout: float = None) -> bool:
-        """Block until no request is in flight; False on timeout."""
-        with self._idle:
-            return self._idle.wait_for(lambda: self._inflight == 0,
-                                       timeout)
-
     def stats(self) -> dict:
         """Aggregated service / batcher / pool telemetry for ``/stats``."""
         return {
@@ -517,13 +560,8 @@ class InferenceService:
         }
 
     def export_gauges(self) -> None:
-        """Publish point-in-time gauges into the current registry.
-
-        Called by scrapers (the ``/metrics`` handler, tests) rather than
-        continuously: gauges describe *now*, so setting them at scrape
-        time keeps the hot path free of gauge churn and means a registry
-        swapped in by a test sees values the moment it scrapes.
-        """
+        """Publish queue, batcher and pool gauges (plus draining)."""
+        super().export_gauges()
         batcher = self.batcher.stats()
         obs.gauge("repro_serve_queue_depth",
                   "Requests waiting in the batcher queue.").set(
@@ -531,9 +569,6 @@ class InferenceService:
         obs.gauge("repro_serve_inflight_batches",
                   "Batches currently being computed.").set(
                       batcher["inflight_batches"])
-        obs.gauge("repro_serve_draining",
-                  "1 while the service refuses new requests.").set(
-                      1 if self._draining else 0)
         pool = self.pool.stats()
         obs.gauge("repro_pool_engines",
                   "Engines resident in the pool.").set(pool["engines"])
@@ -546,9 +581,3 @@ class InferenceService:
         if not self._closed:
             self._closed = True
             self.batcher.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

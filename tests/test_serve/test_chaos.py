@@ -187,7 +187,7 @@ class TestServiceChaos:
         model = svc.defaults["model"]
         victim = 2
         fp = payload_fingerprint(
-            svc._as_images(images[victim], model=model)[0])
+            svc.resolver.as_images(images[victim], model=model)[0])
         outcomes = [None] * len(images)
         barrier = threading.Barrier(len(images))
 

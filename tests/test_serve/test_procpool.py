@@ -7,8 +7,11 @@ even when a worker is killed mid-flight, and shutting the facade down
 leaves no shared-memory segment behind.
 """
 
+import glob
 import os
 import threading
+import time
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -195,6 +198,32 @@ class TestDrainAndStats:
         finally:
             facade.close()
 
+    def test_await_idle_tracks_a_relayed_request(
+            self, tiny_trained_lenet, images, monkeypatch):
+        # Workers arm the slow batch from the env at startup.
+        monkeypatch.setenv(
+            "REPRO_FAULTS", "site=serve.compute,action=sleep,sleep_s=1.0,"
+            "hits=1")
+        facade = ProcServeFacade(tiny_trained_lenet, procs=1,
+                                 length=LENGTH, warm=False)
+        monkeypatch.delenv("REPRO_FAULTS")
+        thread = threading.Thread(target=facade.predict_one,
+                                  args=(images[0],))
+        try:
+            thread.start()
+            deadline = time.monotonic() + 10.0
+            while not facade._pending and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert facade._pending, "request never relayed"
+            assert not facade.await_idle(timeout=0.1)
+            thread.join(30.0)
+            assert not thread.is_alive()
+            assert facade.await_idle(timeout=5.0)
+            assert facade.tracker.summary()["requests"] == 1
+        finally:
+            thread.join(5.0)
+            facade.close()
+
     def test_stats_aggregates_workers(self, facade, images):
         for seed in range(4):
             facade.predict_one(images[seed], seed=seed)
@@ -228,3 +257,42 @@ class TestDrainAndStats:
             for line in text.splitlines()
             if line.startswith("repro_serve_requests_total"))
         assert served >= worker_total
+
+
+class TestShutdown:
+    def test_close_is_prompt_and_workers_exit_cleanly(
+            self, tiny_trained_lenet, images, monkeypatch):
+        """Closing the send ends is an EOF every worker sees: none waits
+        out the join timeout and gets SIGTERMed."""
+        facade = ProcServeFacade(tiny_trained_lenet, procs=2,
+                                 length=LENGTH, warm=False)
+        facade.predict_one(images[0])
+        exitcodes = []
+        for link in facade._links:
+            # close() releases each Process object, exit code included:
+            # read the code just before that happens.
+            def close(proc=link.proc, release=link.proc.close):
+                exitcodes.append(proc.exitcode)
+                release()
+            monkeypatch.setattr(link.proc, "close", close)
+        start = time.monotonic()
+        facade.close()
+        assert time.monotonic() - start < 1.0
+        assert exitcodes == [0, 0]
+
+    def test_lifecycle_cycles_leak_nothing(self, tiny_trained_lenet,
+                                           images):
+        def resources():
+            return (len(os.listdir("/proc/self/fd")),
+                    set(threading.enumerate()),
+                    sorted(glob.glob("/dev/shm/repro-plan-*")))
+
+        # The stdlib's process-wide shared-memory tracker holds one pipe
+        # for the life of the process; start it before the baseline.
+        resource_tracker.ensure_running()
+        before = resources()
+        for _ in range(3):
+            with ProcServeFacade(tiny_trained_lenet, procs=2,
+                                 length=LENGTH) as facade:
+                facade.predict_one(images[0])
+        assert resources() == before

@@ -1,14 +1,19 @@
-"""Regression tests for the four serve-layer bugs fixed in PR 9.
+"""Regression tests for serve-layer bugs found in review.
 
-Each test reproduces a latent bug found in review — it fails against the
-pre-fix code and pins the fixed behaviour:
+Each test reproduces a latent bug — it fails against the pre-fix code
+and pins the fixed behaviour:
 
 * ``LatencyTracker._window_rate`` divided by the configured ``window_s``
   even after the completion ring saturated its ``maxlen`` and no longer
   covered the whole window, underreporting sustained-load rps;
 * ``InferenceService.predict`` checked ``_draining`` *before* taking the
   ``_idle`` lock, so a request racing ``drain()`` + ``await_idle()``
-  could be accepted yet invisible to the idle wait;
+  could be accepted yet invisible to the idle wait — now run against
+  both frontends, since ``ProcServeFacade`` had the same unlocked check
+  and also told its workers to drain, so a request the frontend had
+  already accepted was refused by the worker it was relayed to;
+* a request whose fan-out hit ``QueueFull`` partway lost the tickets it
+  had already queued, which were then computed for nobody;
 * ``EnginePool._plan_for`` never ``move_to_end``'d the sibling plan it
   re-derives from, so a family's canonical plan could be LRU-evicted
   while it was the live re-target source;
@@ -30,7 +35,13 @@ import repro.serve.batcher as batcher_mod
 import repro.serve.service as service_mod
 from repro.core.config import NetworkConfig, PoolKind
 from repro.data.synthetic_mnist import to_bipolar
-from repro.serve import InferenceService, MicroBatcher, ServiceDraining
+from repro.serve import (
+    InferenceService,
+    MicroBatcher,
+    ProcServeFacade,
+    QueueFull,
+    ServiceDraining,
+)
 from repro.serve.pool import EnginePool
 from repro.serve.stats import LatencyTracker
 
@@ -91,16 +102,27 @@ class TestWindowRateSaturation:
             pytest.approx(5.0, rel=0.05)
 
 
+@pytest.fixture(params=["inprocess", "procs"])
+def frontend(request, tiny_trained_lenet):
+    """Each serving frontend, over the one shared request lifecycle."""
+    kwargs = dict(backend="float", length=32, max_wait_ms=1.0, warm=False)
+    if request.param == "procs":
+        service = ProcServeFacade(tiny_trained_lenet, procs=1, **kwargs)
+    else:
+        service = InferenceService(tiny_trained_lenet, **kwargs)
+    yield service
+    service.close()
+
+
 class TestDrainAcceptRace:
     """A request that passed the draining check must be visible to
     await_idle() — the check and the inflight bump are atomic."""
 
     def test_accepted_request_never_invisible_to_await_idle(
-            self, monkeypatch, tiny_trained_lenet, small_dataset):
+            self, monkeypatch, frontend, small_dataset):
         _, _, x_test, _ = small_dataset
         image = to_bipolar(x_test)[0].reshape(-1)
-        service = InferenceService(tiny_trained_lenet, backend="float",
-                                   length=32, max_wait_ms=1.0, warm=False)
+        service = frontend
         blocked = threading.Event()
         release = threading.Event()
         outcome = {}
@@ -109,8 +131,8 @@ class TestDrainAcceptRace:
 
         def shim_monotonic():
             # Park the victim thread in the race window (its first
-            # monotonic call inside predict) while the main thread
-            # drains; everything else passes through.
+            # monotonic call inside the shared admission path) while
+            # the main thread drains; everything else passes through.
             if (threading.current_thread() is victim_holder.get("t")
                     and not blocked.is_set()):
                 blocked.set()
@@ -146,10 +168,57 @@ class TestDrainAcceptRace:
                     f"request was still in flight (outcome: {outcome})")
             else:
                 assert service.await_idle(timeout=30.0)
-                assert "result" in outcome
+                assert "result" in outcome, outcome
         finally:
             release.set()
             thread.join(5.0)
+
+
+class TestQueueFullMidFanOut:
+    """A request refused halfway through its fan-out must cancel the
+    tickets it already queued, not leave them to be computed for
+    nobody."""
+
+    def test_refused_request_tickets_never_reach_the_runner(
+            self, tiny_trained_lenet, small_dataset):
+        _, _, x_test, _ = small_dataset
+        images = to_bipolar(x_test)[:12].reshape(12, -1)
+        service = InferenceService(tiny_trained_lenet, backend="float",
+                                   length=32, max_batch=1, max_queue=4,
+                                   warm=False)
+        real_runner = service.batcher._runner
+        entered = threading.Event()
+        gate = threading.Event()
+        served = []
+
+        def gated_runner(key, payloads):
+            served.append(len(payloads))
+            entered.set()
+            gate.wait(10.0)
+            return real_runner(key, payloads)
+
+        service.batcher._runner = gated_runner
+        holder = threading.Thread(target=service.predict,
+                                  args=(images[0],))
+        try:
+            holder.start()
+            # the single batcher worker is now held inside the runner
+            assert entered.wait(10.0)
+            with pytest.raises(QueueFull):
+                service.predict(images[1:11])  # 10 images, 4 queue slots
+            gate.set()
+            holder.join(10.0)
+            assert not holder.is_alive()
+            # FIFO: the worker sheds the dead tickets before serving this
+            service.predict(images[11])
+            stats = service.batcher.stats()
+            assert stats["shed_cancelled"] == 4
+            assert served == [1, 1]
+            assert stats["batched_requests"] == 2
+            assert service.tracker.summary()["errors"] == 1
+        finally:
+            gate.set()
+            holder.join(5.0)
             service.close()
 
 
