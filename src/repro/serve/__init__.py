@@ -18,9 +18,9 @@ Layers, bottom-up:
   together (plus :class:`RequestResolver`, the engine-free request
   validation shared with the multi-process frontend);
 * :mod:`repro.serve.procpool` — :class:`ProcServeFacade`, N worker
-  processes behind a spec-affine routing frontend, with compiled plans
-  shared zero-copy through a :class:`PlanArena` of
-  ``multiprocessing.shared_memory`` segments (``--procs N``);
+  processes behind a spec-affine routing frontend; the frontend
+  compiles the warm plans once and every forked worker inherits them
+  copy-on-write (``--procs N``);
 * :mod:`repro.serve.server` — the ``ThreadingHTTPServer`` JSON API
   (``POST /predict``, ``GET /healthz``, ``GET /stats``);
 * :mod:`repro.serve.stats` — :class:`LatencyTracker` telemetry.
@@ -49,7 +49,7 @@ from repro.serve.batcher import (
     Ticket,
 )
 from repro.serve.pool import EnginePool
-from repro.serve.procpool import PlanArena, ProcServeFacade
+from repro.serve.procpool import ProcServeFacade
 from repro.serve.server import ServeHTTPServer, create_server, run_server
 from repro.serve.service import (
     InferenceService,
@@ -63,7 +63,6 @@ __all__ = [
     "DeadlineExceeded",
     "EnginePool",
     "MicroBatcher",
-    "PlanArena",
     "ProcServeFacade",
     "QueueFull",
     "RequestResolver",

@@ -9,13 +9,15 @@ own GIL), behind a thin frontend, :class:`ProcServeFacade`, which
 inherits the request lifecycle from
 :class:`~repro.serve.service.ServiceBase` and supplies only the relay:
 
-* **Shared plans** — compiled plans are quantization products, large
-  and immutable.  The frontend compiles each warm spec once, packs it
-  (:func:`repro.engine.plan.pack_plan`) into a
-  :class:`multiprocessing.shared_memory` segment keyed by the existing
-  model/config digests, and every worker rehydrates **zero-copy views**
-  (:func:`repro.engine.plan.unpack_plan`) into the same physical pages —
-  one copy of the weights no matter how many processes serve them.
+* **Inherited plans** — compiled plans are quantization products,
+  large and immutable.  The frontend compiles each warm spec once,
+  before it forks any worker, and keeps the plans keyed like the engine
+  pool's plan tier (model digest, config digest, bits, length).  Every
+  worker — a respawned one too — is forked from the frontend, inherits
+  those plan objects copy-on-write and seeds its pool with them.  A
+  plan's weight arrays are never written after compile, so their pages
+  stay shared: one copy of the weights no matter how many processes
+  serve them.
 * **Spec-affine routing** — a request's group key (model, backend,
   config, bits, seed) hashes to a worker, so same-spec requests land in
   the same process and its micro-batcher keeps coalescing them; the
@@ -36,13 +38,14 @@ inherits the request lifecycle from
   only client, and a drained worker would refuse an accepted request.
 * **Shutdown** — a forked worker closes the frontend-side pipe ends it
   inherited, so the facade's ``close`` is an EOF every worker sees:
-  each closes its service and exits 0.  Shared segments are unlinked.
+  each closes its service and exits 0.  A worker that misses the join
+  timeout is terminated and counted
+  (``repro_serve_forced_terminations_total``), and any request still
+  owed a reply fails instead of waiting forever.
 
 Workers are **fork**-context processes (same choice as the DSE runner):
-the model set, the arena's shared segments and an armed ``REPRO_FAULTS``
-injector are all inherited, and re-attachment races with the resource
-tracker never arise — the parent creates every segment and is the only
-process that ever unlinks them.
+the model set, the warm plans and an armed ``REPRO_FAULTS`` injector
+are all inherited.
 
 The frontend stays a *threading* HTTP server: connection threads block
 in :meth:`ProcServeFacade.predict` waiting on a reply event, which
@@ -58,20 +61,22 @@ import os
 import threading
 import time
 import multiprocessing
-from multiprocessing import connection, shared_memory
+from multiprocessing import connection
 
 from repro import faults, obs
 from repro.engine import build_graph, compile_plan
-from repro.engine.plan import pack_plan, unpack_plan
 from repro.nn.zoo import model_digest
 from repro.serve.batcher import DeadlineExceeded, QueueFull
 from repro.serve.pool import config_digest, hosted_models
 from repro.serve.service import InferenceService, ServiceBase
 
-__all__ = ["PlanArena", "ProcServeFacade"]
+__all__ = ["ProcServeFacade"]
 
 _RESTARTS_TOTAL = "repro_serve_worker_restarts_total"
 _RESTARTS_HELP = "Serve worker processes respawned after dying."
+_TERMINATIONS_TOTAL = "repro_serve_forced_terminations_total"
+_TERMINATIONS_HELP = ("Serve worker processes terminated at close after "
+                      "missing the join timeout.")
 
 #: extra seconds the frontend waits beyond a request's own timeout
 #: before declaring the reply lost (covers queue + pickling transit)
@@ -80,89 +85,9 @@ REPLY_SLACK_S = 5.0
 #: how long a worker's stats scrape may take
 CONTROL_TIMEOUT_S = 10.0
 
-_arena_ids = itertools.count()
-
-
-class PlanArena:
-    """Packed compiled plans in shared memory, keyed by digests.
-
-    The parent compiles and packs; workers (forked afterwards) inherit
-    the segments and seed their engine pools with zero-copy plans.  The
-    parent is the sole owner of every segment's lifetime: workers never
-    unlink, and :meth:`close` with ``unlink=True`` (the facade's
-    shutdown path) removes them from the system.
-    """
-
-    def __init__(self):
-        self.tag = f"{os.getpid()}-{next(_arena_ids)}"
-        self._segments = []
-        self._entries = []
-        self._closed = False
-
-    def add(self, name: str, model, config, bits) -> str:
-        """Compile, pack and publish one plan; returns the segment name."""
-        plan = compile_plan(build_graph(model, config), weight_bits=bits)
-        payload = pack_plan(plan)
-        segment = f"repro-plan-{self.tag}-{len(self._segments)}"
-        shm = shared_memory.SharedMemory(name=segment, create=True,
-                                         size=len(payload))
-        shm.buf[:len(payload)] = payload
-        self._segments.append(shm)
-        self._entries.append({
-            "model": name,
-            "mdigest": model_digest(model),
-            "cdigest": config_digest(config),
-            "bits": bits,
-            "length": config.length,
-            "config": config,
-            "segment": segment,
-        })
-        return segment
-
-    def segment_names(self) -> list:
-        return [entry["segment"] for entry in self._entries]
-
-    def seed_pool(self, pool) -> int:
-        """Hydrate every arena plan into an engine pool's plan tier.
-
-        Called inside a forked worker: the inherited segments back every
-        rehydrated array, so seeding costs page-table entries, not
-        copies.  Returns how many plans were seeded.
-        """
-        seeded = 0
-        for shm, entry in zip(self._segments, self._entries):
-            model = pool.models.get(entry["model"])
-            if model is None:  # pragma: no cover - defensive
-                continue
-            graph = build_graph(model, entry["config"])
-            plan = unpack_plan(graph, shm.buf)
-            key = (entry["mdigest"], entry["cdigest"], entry["bits"],
-                   entry["length"])
-            with pool._lock:
-                pool._plans[key] = plan
-            seeded += 1
-        return seeded
-
-    def close(self, unlink: bool = False) -> None:
-        """Detach (and, for the owning parent, unlink) every segment."""
-        if self._closed:
-            return
-        self._closed = True
-        for shm in self._segments:
-            # Unlink before close: removing the name from the system
-            # must not be blocked by live zero-copy views (a rehydrated
-            # plan still referencing the mapping raises BufferError on
-            # close; the pages stay valid until those views die).
-            if unlink:
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-            try:
-                shm.close()
-            except (BufferError, OSError):
-                pass
-
+#: how long ``close`` waits for a worker to exit on EOF before it
+#: terminates the worker
+JOIN_TIMEOUT_S = 5.0
 
 # ---------------------------------------------------------------------------
 # worker process
@@ -192,7 +117,7 @@ def _rebuild_error(kind: str, message: str) -> Exception:
 
 
 def _worker_main(worker_id: int, models, service_kwargs: dict,
-                 arena: PlanArena, req_conn, rep_conn, threads: int,
+                 plans: dict, req_conn, rep_conn, threads: int,
                  frontend_ends) -> None:
     """A worker process: one full service fed from its request pipe.
 
@@ -203,7 +128,8 @@ def _worker_main(worker_id: int, models, service_kwargs: dict,
     lock (what a shared ``mp.Queue`` uses) leaks in the acquired state
     when a chaos kill lands while a sibling thread holds it, deadlocking
     every later incarnation of the worker — process-local locks die
-    with the process.  Shutdown is the frontend closing its send end:
+    with the process.  ``plans`` is the frontend's warm-plan mapping,
+    inherited at fork: seeding the pool with it copies no weights.  Shutdown is the frontend closing its send end:
     every puller sees EOF in turn — once no other process holds that
     end, hence ``frontend_ends`` (the fork's copies of the frontend-side
     ends, this worker's and its siblings') are closed first.
@@ -214,11 +140,12 @@ def _worker_main(worker_id: int, models, service_kwargs: dict,
     kwargs = dict(service_kwargs)
     warm = kwargs.pop("warm", True)
     service = InferenceService(models, warm=False, **kwargs)
-    arena.seed_pool(service.pool)
+    with service.pool._lock:
+        service.pool._plans.update(plans)
     if warm:
         # Engines still need their weight streams drawn per process;
-        # the plan underneath comes from the arena, so warming here
-        # never re-quantizes.
+        # the plan underneath was inherited from the frontend, so
+        # warming here never re-quantizes.
         try:
             key, config, _ = service.resolver.resolve({})
             service.pool.get(config, backend=key[1], weight_bits=key[3],
@@ -375,12 +302,18 @@ class ProcServeFacade(ServiceBase):
         }
         self._worker_threads = int(worker_threads)
 
-        # one copy of every warm plan, shared by all workers
-        self.arena = PlanArena()
+        # One copy of every warm plan, compiled before the first fork
+        # so every worker inherits it.  Keys match the engine pool's
+        # plan tier: (model digest, config digest, bits, length).
+        self._plans = {}
         if warm:
-            for name in self.models:
+            for name, model_obj in self.models.items():
                 key, config, _ = self.resolver.resolve({"model": name})
-                self.arena.add(name, self.models[name], config, key[3])
+                plan = compile_plan(build_graph(model_obj, config),
+                                    weight_bits=key[3])
+                self._plans[(model_digest(model_obj),
+                             config_digest(config), key[3],
+                             config.length)] = plan
 
         self._ctx = multiprocessing.get_context("fork")
         self._links = [None] * self.procs
@@ -419,7 +352,7 @@ class ProcServeFacade(ServiceBase):
             for conn in (link.req_send, link.rep_recv)]
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(index, self.models, self._service_kwargs, self.arena,
+            args=(index, self.models, self._service_kwargs, self._plans,
                   req_recv, rep_send, self._worker_threads, frontend_ends),
             name=f"serve-worker-{index}", daemon=True)
         proc.start()
@@ -611,7 +544,7 @@ class ProcServeFacade(ServiceBase):
                 "workers": self.procs,
                 "alive": self._alive(),
                 "restarts": self._restarts,
-                "shared_plan_segments": len(self.arena.segment_names()),
+                "shared_plans": len(self._plans),
                 "admission_limit_per_model": self.max_inflight_per_model,
             },
             "pool": pool,
@@ -647,7 +580,8 @@ class ProcServeFacade(ServiceBase):
     # shutdown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop workers, reclaim shared memory (idempotent)."""
+        """Stop workers; fail any request still owed a reply
+        (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -656,14 +590,22 @@ class ProcServeFacade(ServiceBase):
         # worker's EOF, after which it closes its service and exits.
         for link in self._links:
             link.req_send.close()
-        for link in self._links:
-            link.proc.join(timeout=5.0)
-            if link.proc.is_alive():  # pragma: no cover - hung worker
+        for index, link in enumerate(self._links):
+            link.proc.join(timeout=JOIN_TIMEOUT_S)
+            if link.proc.is_alive():
                 link.proc.terminate()
                 link.proc.join(timeout=1.0)
+                obs.counter(_TERMINATIONS_TOTAL, _TERMINATIONS_HELP,
+                            worker=str(index)).inc()
             link.close()
         self._monitor.join(timeout=2.0)
-        self.arena.close(unlink=True)
         for link in self._links:
             link.reader.join(timeout=2.0)
             link.proc.close()  # releases the process sentinel's fds
+        # No worker is left to answer: wake every caller still waiting.
+        with self._lock:
+            orphaned = list(self._pending.values())
+        for pending in orphaned:
+            pending.error = RuntimeError(
+                "service closed before the worker replied")
+            pending.event.set()

@@ -3,25 +3,25 @@
 The bar carried over from the single-process tier: every exact-backend
 reply is bit-identical to a dedicated single-request engine run no
 matter which worker served it, no accepted request's reply is dropped
-even when a worker is killed mid-flight, and shutting the facade down
-leaves no shared-memory segment behind.
+even when a worker is killed mid-flight, every worker — a respawned one
+too — serves the warm plans it inherited from the frontend instead of
+compiling its own, and no lifecycle (close, kill and respawn, drain)
+leaves an fd or a thread behind.
 """
 
 import glob
 import os
 import threading
 import time
-from multiprocessing import resource_tracker
 
-import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.config import NetworkConfig, PoolKind
 from repro.data.synthetic_mnist import to_bipolar
-from repro.engine import Engine, build_graph, compile_plan
-from repro.engine.plan import unpack_plan
+from repro.engine import Engine
 from repro.serve import ProcServeFacade, QueueFull, ServiceDraining
-from repro.serve.procpool import PlanArena
+from repro.serve import procpool
 
 LENGTH = 32
 
@@ -43,31 +43,37 @@ def facade(tiny_trained_lenet):
         yield facade
 
 
-class TestPlanArena:
-    def test_segments_hold_bit_identical_plans(self, tiny_trained_lenet):
-        arena = PlanArena()
-        try:
-            config = _cfg()
-            arena.add("default", tiny_trained_lenet, config, (None,) * 4)
-            assert len(arena.segment_names()) == 1
-            shm = arena._segments[0]
-            graph = build_graph(tiny_trained_lenet, config)
-            plan = unpack_plan(graph, shm.buf)
-            fresh = compile_plan(graph)
-            for a, b in zip(plan.layers, fresh.layers):
-                np.testing.assert_array_equal(a.weights, b.weights)
-            # release the zero-copy views before the segment closes
-            del plan, a, b
-        finally:
-            arena.close(unlink=True)
+class TestPlanInheritance:
+    """Workers serve the plans the frontend compiled before forking."""
 
-    def test_close_unlinks_segments(self, tiny_trained_lenet):
-        arena = PlanArena()
-        arena.add("default", tiny_trained_lenet, _cfg(), (None,) * 4)
-        paths = [f"/dev/shm/{name}" for name in arena.segment_names()]
-        assert all(os.path.exists(p) for p in paths)
-        arena.close(unlink=True)
-        assert not any(os.path.exists(p) for p in paths)
+    @staticmethod
+    def _assert_workers_inherited(facade):
+        stats = facade.stats()
+        assert stats["procs"]["shared_plans"] == 1
+        assert len(stats["workers"]) == facade.procs
+        for worker in stats["workers"]:
+            assert worker["pool"]["plans"] >= 1, worker["pool"]
+            assert worker["pool"]["plans_compiled"] == 0, worker["pool"]
+
+    def test_warm_workers_compile_no_plan(self, facade, images):
+        facade.predict_one(images[0])
+        self._assert_workers_inherited(facade)
+
+    def test_respawned_worker_inherits_plans(
+            self, tiny_trained_lenet, images, monkeypatch):
+        monkeypatch.setenv(
+            "REPRO_FAULTS", "site=serve.compute,action=kill,hits=1")
+        with ProcServeFacade(tiny_trained_lenet, procs=2, length=LENGTH,
+                             max_wait_ms=1.0) as facade:
+            monkeypatch.delenv("REPRO_FAULTS")
+            facade.predict_one(images[0], timeout=60.0)
+            assert facade._restarts >= 1
+            self._assert_workers_inherited(facade)
+
+    def test_cold_facade_shares_no_plan(self, tiny_trained_lenet):
+        with ProcServeFacade(tiny_trained_lenet, procs=1, length=LENGTH,
+                             warm=False) as facade:
+            assert facade.stats()["procs"]["shared_plans"] == 0
 
 
 class TestBitIdentity:
@@ -170,19 +176,6 @@ class TestWorkerChaos:
         finally:
             facade.close()
 
-    def test_close_after_chaos_unlinks_shared_memory(
-            self, tiny_trained_lenet, images, monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_FAULTS", "site=serve.compute,action=kill,hits=1")
-        facade = ProcServeFacade(tiny_trained_lenet, procs=2,
-                                 length=LENGTH, max_wait_ms=1.0)
-        monkeypatch.delenv("REPRO_FAULTS")
-        paths = [f"/dev/shm/{name}"
-                 for name in facade.arena.segment_names()]
-        facade.predict_one(images[1], timeout=60.0)
-        facade.close()
-        assert not any(os.path.exists(p) for p in paths)
-
 
 class TestDrainAndStats:
     def test_drain_refuses_new_requests(self, tiny_trained_lenet, images):
@@ -280,19 +273,77 @@ class TestShutdown:
         assert time.monotonic() - start < 1.0
         assert exitcodes == [0, 0]
 
+    def test_close_counts_forced_termination(
+            self, tiny_trained_lenet, images, monkeypatch):
+        """A worker held in a slow batch past the join timeout is
+        terminated, counted, and its caller fails instead of hanging."""
+        monkeypatch.setenv(
+            "REPRO_FAULTS", "site=serve.compute,action=sleep,sleep_s=5.0,"
+            "hits=1")
+        monkeypatch.setattr(procpool, "JOIN_TIMEOUT_S", 0.2)
+        errors = []
+
+        def call():
+            try:
+                facade.predict_one(images[0])
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        with obs.scoped_registry() as registry:
+            facade = ProcServeFacade(tiny_trained_lenet, procs=1,
+                                     length=LENGTH, warm=False)
+            monkeypatch.delenv("REPRO_FAULTS")
+            thread = threading.Thread(target=call)
+            thread.start()
+
+            def computing():
+                return any(w["batcher"]["inflight_batches"]
+                           for w in facade.stats()["workers"])
+
+            # Close only once the worker holds the request in its slow
+            # batch: closed earlier, the worker sees EOF before the
+            # request and exits in time.
+            deadline = time.monotonic() + 30.0
+            while not computing() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert computing(), "request never reached the worker"
+            facade.close()
+            thread.join(5.0)
+            samples = registry.snapshot()[
+                "repro_serve_forced_terminations_total"]["samples"]
+        assert not thread.is_alive()
+        assert sum(samples.values()) == 1
+        assert len(errors) == 1 and "closed" in str(errors[0])
+
     def test_lifecycle_cycles_leak_nothing(self, tiny_trained_lenet,
-                                           images):
+                                           images, monkeypatch):
         def resources():
             return (len(os.listdir("/proc/self/fd")),
                     set(threading.enumerate()),
                     sorted(glob.glob("/dev/shm/repro-plan-*")))
 
-        # The stdlib's process-wide shared-memory tracker holds one pipe
-        # for the life of the process; start it before the baseline.
-        resource_tracker.ensure_running()
-        before = resources()
-        for _ in range(3):
+        def plain():
             with ProcServeFacade(tiny_trained_lenet, procs=2,
                                  length=LENGTH) as facade:
                 facade.predict_one(images[0])
-        assert resources() == before
+
+        def kill_respawn():
+            monkeypatch.setenv(
+                "REPRO_FAULTS", "site=serve.compute,action=kill,hits=1")
+            with ProcServeFacade(tiny_trained_lenet, procs=2,
+                                 length=LENGTH) as facade:
+                monkeypatch.delenv("REPRO_FAULTS")
+                facade.predict_one(images[0], timeout=60.0)
+                assert facade._restarts >= 1
+
+        def drain():
+            with ProcServeFacade(tiny_trained_lenet, procs=2,
+                                 length=LENGTH) as facade:
+                facade.predict_one(images[0])
+                facade.drain()
+                assert facade.await_idle(timeout=5.0)
+
+        before = resources()
+        for cycle in (plain, plain, plain, kill_respawn, drain):
+            cycle()
+            assert resources() == before, cycle.__name__
