@@ -129,10 +129,11 @@ def _worker_main(worker_id: int, models, service_kwargs: dict,
     when a chaos kill lands while a sibling thread holds it, deadlocking
     every later incarnation of the worker — process-local locks die
     with the process.  ``plans`` is the frontend's warm-plan mapping,
-    inherited at fork: seeding the pool with it copies no weights.  Shutdown is the frontend closing its send end:
-    every puller sees EOF in turn — once no other process holds that
-    end, hence ``frontend_ends`` (the fork's copies of the frontend-side
-    ends, this worker's and its siblings') are closed first.
+    inherited at fork: seeding the pool with it copies no weights.
+    Shutdown is the frontend closing its send end: every puller sees
+    EOF in turn — once no other process holds that end, hence
+    ``frontend_ends`` (the fork's copies of the frontend-side ends, this
+    worker's and its siblings') are closed first.
     """
     for conn in frontend_ends:
         conn.close()
@@ -602,6 +603,8 @@ class ProcServeFacade(ServiceBase):
         for link in self._links:
             link.reader.join(timeout=2.0)
             link.proc.close()  # releases the process sentinel's fds
+        # Every worker is gone: drop the frontend's copy of the plans.
+        self._plans.clear()
         # No worker is left to answer: wake every caller still waiting.
         with self._lock:
             orphaned = list(self._pending.values())

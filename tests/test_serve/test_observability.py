@@ -8,6 +8,7 @@ links alone.
 
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -32,7 +33,7 @@ def observed_service(tiny_trained_lenet, tmp_path):
     """A live HTTP service with tracing armed and an isolated registry.
 
     Yields ``(base_url, service, records)`` where ``records()`` loads
-    the JSONL trace written so far.
+    the JSONL trace once a served request's root span has landed.
     """
     trace_path = tmp_path / "trace.jsonl"
     with obs.scoped_registry():
@@ -44,10 +45,23 @@ def observed_service(tiny_trained_lenet, tmp_path):
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         base = f"http://127.0.0.1:{server.server_address[1]}"
+
+        def records(timeout=10.0):
+            # A span is written when it closes, and the root
+            # ``serve.http`` span (``serve.respond`` inside it) closes
+            # only after the reply bytes are sent: the client can hold
+            # its reply before the handler thread writes those spans.
+            deadline = time.monotonic() + timeout
+            while True:
+                recs = [json.loads(line)
+                        for line in trace_path.read_text().splitlines()]
+                if (any(r["name"] == "serve.http" for r in recs)
+                        or time.monotonic() > deadline):
+                    return recs
+                time.sleep(0.01)
+
         try:
-            yield base, service, lambda: [
-                json.loads(line)
-                for line in trace_path.read_text().splitlines()]
+            yield base, service, records
         finally:
             server.shutdown()
             server.server_close()

@@ -10,16 +10,18 @@ leaves an fd or a thread behind.
 """
 
 import glob
+import multiprocessing
 import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.core.config import NetworkConfig, PoolKind
 from repro.data.synthetic_mnist import to_bipolar
-from repro.engine import Engine
+from repro.engine import Engine, build_graph, compile_plan
 from repro.serve import ProcServeFacade, QueueFull, ServiceDraining
 from repro.serve import procpool
 
@@ -74,6 +76,39 @@ class TestPlanInheritance:
         with ProcServeFacade(tiny_trained_lenet, procs=1, length=LENGTH,
                              warm=False) as facade:
             assert facade.stats()["procs"]["shared_plans"] == 0
+
+
+class TestPlanArena:
+    """The frontend's plan arena: one ``{pool key: CompiledPlan}`` dict,
+    compiled before the first fork and inherited by every worker — no
+    shared-memory segment, no byte format."""
+
+    def test_segments_hold_bit_identical_plans(
+            self, facade, tiny_trained_lenet):
+        assert len(facade._plans) == 1
+        (plan,) = facade._plans.values()
+        _, config, _ = facade.resolver.resolve({})
+        fresh = compile_plan(build_graph(tiny_trained_lenet, config))
+        assert len(plan.layers) == len(fresh.layers)
+        for a, b in zip(plan.layers, fresh.layers):
+            for field in ("weights", "dense_weights", "dense_bias",
+                          "raw_weights", "raw_bias"):
+                np.testing.assert_array_equal(getattr(a, field),
+                                              getattr(b, field))
+
+    def test_close_unlinks_segments(self, tiny_trained_lenet, images):
+        before = sorted(glob.glob("/dev/shm/repro-plan-*"))
+        facade = ProcServeFacade(tiny_trained_lenet, procs=2,
+                                 length=LENGTH)
+        try:
+            facade.predict_one(images[0])
+            assert len(facade._plans) == 1
+            assert sorted(glob.glob("/dev/shm/repro-plan-*")) == before
+        finally:
+            facade.close()
+        # the closed frontend lets go of its copy of the weights
+        assert facade._plans == {}
+        assert sorted(glob.glob("/dev/shm/repro-plan-*")) == before
 
 
 class TestBitIdentity:
@@ -175,6 +210,25 @@ class TestWorkerChaos:
             assert stats["procs"]["alive"] == 2
         finally:
             facade.close()
+
+    def test_close_after_chaos_unlinks_shared_memory(
+            self, tiny_trained_lenet, images, monkeypatch):
+        """Close after a kill and respawn reaps every incarnation and
+        leaves no plan behind, in shared memory or in the frontend."""
+        monkeypatch.setenv(
+            "REPRO_FAULTS", "site=serve.compute,action=kill,hits=1")
+        before = sorted(glob.glob("/dev/shm/repro-plan-*"))
+        facade = ProcServeFacade(tiny_trained_lenet, procs=2,
+                                 length=LENGTH, max_wait_ms=1.0)
+        monkeypatch.delenv("REPRO_FAULTS")
+        facade.predict_one(images[1], timeout=60.0)
+        assert facade._restarts >= 1
+        pids = {link.proc.pid for link in facade._links}
+        facade.close()
+        alive = {proc.pid for proc in multiprocessing.active_children()}
+        assert not pids & alive
+        assert facade._plans == {}
+        assert sorted(glob.glob("/dev/shm/repro-plan-*")) == before
 
 
 class TestDrainAndStats:
